@@ -12,9 +12,10 @@
 // (loss, burstiness) cell with diurnal counts, probe accounting, and
 // recovery counters.
 #include <iostream>
+#include <memory>
 
 #include "common.h"
-#include "sleepwalk/core/supervisor.h"
+#include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/faults/faulty_transport.h"
 #include "sleepwalk/report/resilience.h"
 #include "sleepwalk/report/table.h"
@@ -73,8 +74,14 @@ int main() {
       auto inner = world.MakeTransport(0xfa115);
       faults::FaultyTransport transport{*inner, plan};
       auto targets = baseline_targets;
-      auto outcome = core::RunResilientCampaign(std::move(targets),
-                                                transport, n_rounds, config);
+      core::ParallelConfig parallel;
+      parallel.workers = 1;
+      auto outcome = core::RunParallelCampaign(
+          std::move(targets),
+          [&transport](std::size_t) {
+            return std::make_unique<core::PlainShardChain>(transport);
+          },
+          n_rounds, config, parallel);
       rows.push_back({loss, bursty, std::move(outcome),
                       transport.accounting()});
     }

@@ -19,12 +19,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common.h"
 #include "sleepwalk/core/checkpoint.h"
-#include "sleepwalk/core/supervisor.h"
+#include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/probing/scheduler.h"
 #include "sleepwalk/sim/world.h"
 #include "sleepwalk/storage/file.h"
@@ -154,10 +155,15 @@ double DurabilityOverheadPct(const sim::SimWorld& world,
       }
       auto transport = world.MakeTransport(11);
       auto copy = targets;
+      core::ParallelConfig parallel;
+      parallel.workers = 1;
       const auto start = std::chrono::steady_clock::now();
-      const auto outcome = core::RunResilientCampaign(std::move(copy),
-                                                      *transport, n_rounds,
-                                                      config);
+      const auto outcome = core::RunParallelCampaign(
+          std::move(copy),
+          [&transport](std::size_t) {
+            return std::make_unique<core::PlainShardChain>(*transport);
+          },
+          n_rounds, config, parallel);
       const double sec = Seconds(start);
       if (durable && outcome.stats.checkpoints_written == 0) {
         std::cerr << "checkpoint_io: durable campaign wrote no checkpoints\n";

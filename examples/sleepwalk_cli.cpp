@@ -69,8 +69,8 @@ int Usage() {
       "usage: sleepwalk_cli <command> [--flag value ...]\n"
       "  measure --out FILE [--blocks N] [--days D] [--seed S] [--site K]\n"
       "          [--workers W] [--loss P] [--burst P] [--rate-limit N]\n"
-      "          [--dead N] [--checkpoint FILE] [--checkpoint-every R]\n"
-      "          [--checkpoint-blocks B] [--checkpoint-keep K]\n"
+      "          [--dead N] [--checkpoint FILE] [--checkpoint-blocks B]\n"
+      "          [--checkpoint-keep K]\n"
       "          [--failpoints SPEC] [--dataset-format v2|v3]\n"
       "          [--log-level L] [--log-json FILE] [--metrics-out FILE]\n"
       "          [--trace-out FILE] [--trace-chrome FILE]\n"
@@ -286,7 +286,6 @@ int CmdMeasure(const Flags& flags) {
   core::SupervisorConfig config;
   config.seed = site;
   config.checkpoint_path = flags.Get("checkpoint");
-  config.checkpoint_every_rounds = flags.GetInt("checkpoint-every", 500);
   config.checkpoint_every_blocks =
       static_cast<int>(flags.GetInt("checkpoint-blocks", 1));
   config.checkpoint_keep =

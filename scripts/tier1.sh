@@ -3,9 +3,11 @@
 # subsystem again under AddressSanitizer + UndefinedBehaviorSanitizer.
 #
 # The sanitizer pass exists because the resilience paths are exactly the
-# ones that juggle raw state buffers (checkpoint serialization, transport
-# snapshot/restore, mid-round rollback) — the code most likely to hide a
-# lifetime or aliasing bug that a passing assertion can't see.
+# ones that juggle raw state buffers (checkpoint serialization and
+# decode, per-block telemetry buffers handed from workers to the
+# coordinator, mid-round prober rollback, crash unwinding out of a save)
+# — the code most likely to hide a lifetime or aliasing bug that a
+# passing assertion can't see.
 #
 # Usage: scripts/tier1.sh [--skip-sanitize | --lint]
 #   --lint  run only the static-analysis tier (scripts/static_analysis.sh)
@@ -100,6 +102,24 @@ if build/tools/slck_fsck "${smoke}/bad3.slpw" >/dev/null; then
   exit 1
 fi
 echo "storage smoke OK"
+
+echo "== tier-1: worker-count smoke (1 vs 4 workers, byte-identical) =="
+# The campaign engine's contract at the CLI: a checkpointed faulty
+# campaign writes the same dataset, primary checkpoint, event log and
+# metrics whatever the worker count. Each run gets its own directory so
+# relative paths recorded in the artifacts match as well.
+cli="${PWD}/build/examples/sleepwalk_cli"
+for workers in 1 4; do
+  mkdir "${smoke}/w${workers}"
+  (cd "${smoke}/w${workers}" && "${cli}" measure \
+    --blocks 20 --days 3 --seed 11 --loss 0.05 --workers "${workers}" \
+    --out ds.slpw --checkpoint ck.slck \
+    --log-json log.jsonl --metrics-out metrics.prom >/dev/null 2>&1)
+done
+for artifact in ds.slpw ck.slck log.jsonl metrics.prom; do
+  cmp "${smoke}/w1/${artifact}" "${smoke}/w4/${artifact}"
+done
+echo "worker-count smoke OK"
 
 if [[ "${1:-}" == "--skip-sanitize" ]]; then
   echo "== tier-1: sanitizer pass skipped =="

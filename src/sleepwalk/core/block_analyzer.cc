@@ -67,33 +67,6 @@ void BlockAnalyzer::RunCampaign(net::Transport& transport,
   }
 }
 
-BlockAnalyzerState BlockAnalyzer::ExportState() const {
-  BlockAnalyzerState state;
-  state.estimator = estimator_.ExportState();
-  state.has_prober = prober_.has_value();
-  if (prober_) state.prober = prober_->ExportState();
-  state.raw = raw_.observations();
-  state.total_probes = total_probes_;
-  state.rounds_run = rounds_run_;
-  state.down_rounds = down_rounds_;
-  state.previous_down = previous_down_;
-  state.outage_starts = outage_starts_;
-  state.outages = outages_;
-  return state;
-}
-
-void BlockAnalyzer::RestoreState(BlockAnalyzerState state) {
-  estimator_.RestoreState(state.estimator);
-  if (prober_ && state.has_prober) prober_->RestoreState(state.prober);
-  raw_.RestoreObservations(std::move(state.raw));
-  total_probes_ = state.total_probes;
-  rounds_run_ = state.rounds_run;
-  down_rounds_ = state.down_rounds;
-  previous_down_ = state.previous_down;
-  outage_starts_ = std::move(state.outage_starts);
-  outages_ = std::move(state.outages);
-}
-
 BlockAnalysis BlockAnalyzer::Finish() const {
   AnalysisScratch scratch;
   BlockAnalysis analysis;

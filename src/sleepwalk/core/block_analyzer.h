@@ -72,23 +72,6 @@ struct BlockAnalysis {
   std::vector<OutageEpisode> outages;       ///< contiguous down episodes
 };
 
-/// Round-boundary snapshot of one analyzer's mutable state. Everything
-/// not derivable from (BlockTarget, seed, config): the estimator's EWMAs,
-/// the prober's cursor/belief, the accumulated raw A-hat_s series, and
-/// the outage bookkeeping. Serialized into campaign checkpoints.
-struct BlockAnalyzerState {
-  AvailabilityState estimator;
-  bool has_prober = false;
-  probing::ProberState prober;
-  std::vector<ts::Observation> raw;
-  std::int64_t total_probes = 0;
-  std::int64_t rounds_run = 0;
-  int down_rounds = 0;
-  bool previous_down = false;
-  std::vector<std::int64_t> outage_starts;
-  std::vector<OutageEpisode> outages;
-};
-
 /// Drives one block through a probing campaign.
 class BlockAnalyzer {
  public:
@@ -139,13 +122,7 @@ class BlockAnalyzer {
     if (prober_) prober_->RestoreState(state);
   }
 
-  /// Captures / restores everything mutable (checkpoint/resume). The
-  /// analyzer must have been constructed from the same target, seed and
-  /// config for RestoreState to make sense.
-  BlockAnalyzerState ExportState() const;
-  void RestoreState(BlockAnalyzerState state);
-
-  /// Rounds executed so far (resume continues from here).
+  /// Rounds executed so far.
   std::int64_t rounds_run() const noexcept { return rounds_run_; }
 
   /// Finalizes: cleans, trims, tests stationarity, classifies.

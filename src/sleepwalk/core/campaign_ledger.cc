@@ -112,13 +112,4 @@ BlockVerdict VerdictOf(const BlockAnalysis& analysis, bool quarantined) {
   return verdict;
 }
 
-std::vector<std::uint8_t> SnapshotTransport(net::Transport& transport) {
-  std::vector<std::uint8_t> bytes;
-  if (const auto* stateful =
-          dynamic_cast<const net::StatefulTransport*>(&transport)) {
-    stateful->SaveState(bytes);
-  }
-  return bytes;
-}
-
 }  // namespace sleepwalk::core

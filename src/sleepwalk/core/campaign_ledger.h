@@ -1,21 +1,21 @@
-// Shared campaign bookkeeping for the sequential supervisor and the
-// parallel sharded executor.
+// Shared campaign bookkeeping for the campaign engine
+// (core/parallel_executor.h).
 //
-// The ledger is the single synchronization point both runners agree on:
-// completed analyses and diurnal counts, the resilience stats, the
-// quarantine list, the processed-round counter that drives checkpoint
-// cadence, and the early-stop/resume flags. Everything workers must
-// agree on lives behind one capability so the clang -Wthread-safety
-// build (scripts/static_analysis.sh, CI `static-analysis` job) rejects
-// unlocked access at compile time. Per-block state — the analyzer, the
-// retry counter, the round cursor — deliberately stays thread-local in
-// the runners.
+// The ledger is the single synchronization point between the engine's
+// coordinator and its readers (the /statusz provider): completed
+// analyses and diurnal counts, the resilience stats, the quarantine
+// list, the processed-round counter that drives stop_after_rounds, and
+// the early-stop/resume flags. Everything lives behind one capability
+// so the clang -Wthread-safety build (scripts/static_analysis.sh, CI
+// `static-analysis` job) rejects unlocked access at compile time.
+// Per-block state — the analyzer, the retry counter, the round cursor —
+// deliberately stays thread-local in the workers.
 //
 // The free helpers (backoff, gap/restart schedule checks, analysis
-// classification, transport snapshotting) are the policy pieces the two
-// runners must share byte-for-byte: a parallel run is only equivalent to
-// a sequential one if every retry delay, every skipped round, and every
-// classification decision is computed identically.
+// classification) are the policy pieces every block must compute
+// identically whichever worker runs it: a run is only independent of
+// worker count if every retry delay, every skipped round, and every
+// classification decision is a pure function of the block.
 #ifndef SLEEPWALK_CORE_CAMPAIGN_LEDGER_H_
 #define SLEEPWALK_CORE_CAMPAIGN_LEDGER_H_
 
@@ -30,7 +30,6 @@
 #include "sleepwalk/core/status.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/net/ipv4.h"
-#include "sleepwalk/net/transport.h"
 #include "sleepwalk/obs/context.h"
 #include "sleepwalk/report/resilience.h"
 #include "sleepwalk/util/sync.h"
@@ -64,8 +63,7 @@ struct SupervisorMetrics {
 
 /// Deterministic jittered exponential backoff. The jitter draw is a
 /// stateless hash of (seed, block, round, attempt), so retry timing never
-/// perturbs any RNG stream a checkpoint would have to capture — and a
-/// worker thread computes the exact delay the sequential loop would.
+/// perturbs any RNG stream, and every worker computes the same delay.
 double BackoffDelay(const RetryConfig& retry, std::uint64_t seed,
                     std::uint32_t block, std::int64_t round, int attempt);
 
@@ -82,9 +80,6 @@ bool IsForcedRestart(const SupervisorConfig& config,
 /// block as skipped rather than classifying a truncated series.
 void ClassifyAnalysis(const BlockAnalysis& analysis, bool quarantined,
                       DiurnalCounts& counts);
-
-/// Serializes the current transport state when the transport supports it.
-std::vector<std::uint8_t> SnapshotTransport(net::Transport& transport);
 
 /// Everything one finished block contributes to the campaign: its
 /// analysis, its quarantine verdict, and the resilience-stats delta it
@@ -103,9 +98,9 @@ struct BlockCommit {
 };
 
 /// Maps a finished block's analysis to its fixed-width columnar verdict
-/// (core/block_store.h). Pure projection: both runners and the resume
-/// path must derive store rows from analyses through this one function
-/// so the columnar mirror is runner-independent.
+/// (core/block_store.h). Pure projection: the commit and the resume path
+/// both derive store rows from analyses through this one function, so
+/// the columnar mirror does not depend on whether a block was resumed.
 BlockVerdict VerdictOf(const BlockAnalysis& analysis, bool quarantined);
 
 /// Shared mutable campaign state; see the file comment. All methods are
@@ -150,59 +145,12 @@ class CampaignLedger {
     outcome_.stats.resumed_from_checkpoint = true;
   }
 
-  void NoteGapped() SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    ++outcome_.stats.rounds_gapped;
-  }
-
-  void NoteAttempted() SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    ++outcome_.stats.rounds_attempted;
-  }
-
-  void NoteForcedRestart() SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    ++outcome_.stats.forced_restarts;
-  }
-
-  void NoteRetry(double delay_sec) SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    ++outcome_.stats.retries;
-    outcome_.stats.backoff_seconds += delay_sec;
-  }
-
-  void NoteRoundFailed() SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    ++outcome_.stats.rounds_failed;
-  }
-
-  void NoteQuarantined(net::Prefix24 block) SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    ++outcome_.stats.quarantined_blocks;
-    outcome_.quarantined.push_back(block);
-  }
-
-  /// Classifies and appends a finished block's analysis, mirroring it
-  /// into the columnar store (row = position in the completion order).
-  void FinishBlock(BlockAnalysis analysis, bool quarantined,
-                   const AvailabilityState& estimator = {})
-      SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    ClassifyAnalysis(analysis, quarantined, outcome_.result.counts);
-    const std::size_t row = outcome_.result.analyses.size();
-    if (row < outcome_.store.size()) {
-      outcome_.store.RecordVerdict(row, VerdictOf(analysis, quarantined),
-                                   estimator);
-    }
-    outcome_.result.analyses.push_back(std::move(analysis));
-  }
-
   /// Commits a whole finished block at once: classification + analysis
   /// append + quarantine list + the block's private stats delta + its
   /// processed-round count. The parallel executor's merge stage calls
   /// this in strict block-index order; returns the new global
   /// processed-round total so the coordinator can evaluate
-  /// stop_after_rounds exactly where the sequential loop would have.
+  /// stop_after_rounds at this block boundary.
   std::int64_t CommitBlock(BlockCommit&& commit) SLEEPWALK_EXCLUDES(mutex_) {
     util::MutexLock lock{mutex_};
     ClassifyAnalysis(commit.analysis, commit.quarantined,
@@ -220,26 +168,12 @@ class CampaignLedger {
     return processed_rounds_;
   }
 
-  /// Advances the global round counter, returning its new value.
-  std::int64_t AdvanceRound() SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    return ++processed_rounds_;
-  }
-
-  std::int64_t processed_rounds() const SLEEPWALK_EXCLUDES(mutex_) {
-    util::MutexLock lock{mutex_};
-    return processed_rounds_;
-  }
-
   /// Builds a checkpoint snapshot of the current shared state. The
   /// write-ahead increment of checkpoints_written is part of the
   /// snapshot (it counts itself); a failed write is rolled back with
   /// NoteCheckpointWritten(false). File I/O happens outside the lock.
   Checkpoint BuildCheckpointSnapshot(std::uint64_t fingerprint,
-                                     std::size_t next_block,
-                                     bool has_inflight,
-                                     std::int64_t next_round, int failures,
-                                     const BlockAnalyzer* analyzer)
+                                     std::size_t next_block)
       SLEEPWALK_EXCLUDES(mutex_) {
     util::MutexLock lock{mutex_};
     Checkpoint checkpoint;
@@ -258,12 +192,6 @@ class CampaignLedger {
       checkpoint.quarantined.push_back(block.Index());
     }
     checkpoint.next_block = next_block;
-    checkpoint.has_inflight = has_inflight;
-    if (has_inflight) {
-      checkpoint.inflight_next_round = next_round;
-      checkpoint.inflight_consecutive_failures = failures;
-      checkpoint.inflight = analyzer->ExportState();
-    }
     ++outcome_.stats.checkpoints_written;  // the snapshot counts itself
     checkpoint.stats = outcome_.stats;
     return checkpoint;

@@ -43,8 +43,8 @@ constexpr std::size_t kHeaderBytes = 4 + 8 + 8 + 4;
 // (ids 40..42) indexed by the per-record length columns.
 constexpr std::uint32_t kColMeta = 1;         // META payload, meta v == 3
 constexpr std::uint32_t kColQuarantined = 2;  // u32 prefix indices
-constexpr std::uint32_t kColInflight = 3;     // INFLIGHT payload blob
-constexpr std::uint32_t kColTransport = 4;    // transport state blob
+constexpr std::uint32_t kColInflight = 3;     // INFLIGHT flag byte
+constexpr std::uint32_t kColTransport = 4;    // TRANSPORT blob (empty)
 constexpr std::uint32_t kColBlockIndex = 10;      // u32
 constexpr std::uint32_t kColProbed = 11;          // u8
 constexpr std::uint32_t kColEverActive = 12;      // i32
@@ -209,78 +209,6 @@ bool GetAnalysis(ByteReader& in, BlockAnalysis& analysis) {
   return true;
 }
 
-void PutAnalyzerState(ByteWriter& out, const BlockAnalyzerState& state) {
-  out.Put(state.estimator.p_short);
-  out.Put(state.estimator.t_short);
-  out.Put(state.estimator.p_long);
-  out.Put(state.estimator.t_long);
-  out.Put(state.estimator.deviation);
-  out.Put(util::CheckedNarrow<std::int32_t>(state.estimator.rounds));
-  out.Put(util::BoolByte(state.has_prober));
-  out.Put(state.prober.cursor);
-  out.Put(state.prober.belief);
-  out.Put(static_cast<std::uint64_t>(state.raw.size()));
-  for (const auto& observation : state.raw) {
-    out.Put(observation.round);
-    out.Put(observation.value);
-  }
-  out.Put(state.total_probes);
-  out.Put(state.rounds_run);
-  out.Put(util::CheckedNarrow<std::int32_t>(state.down_rounds));
-  out.Put(util::BoolByte(state.previous_down));
-  out.Put(static_cast<std::uint64_t>(state.outage_starts.size()));
-  for (const auto start : state.outage_starts) out.Put(start);
-  out.Put(static_cast<std::uint64_t>(state.outages.size()));
-  for (const auto& outage : state.outages) {
-    out.Put(outage.start_round);
-    out.Put(outage.rounds);
-  }
-}
-
-bool GetAnalyzerState(ByteReader& in, BlockAnalyzerState& state) {
-  std::int32_t estimator_rounds = 0;
-  std::uint8_t has_prober = 0;
-  std::uint64_t n_raw = 0;
-  if (!in.Get(state.estimator.p_short) || !in.Get(state.estimator.t_short) ||
-      !in.Get(state.estimator.p_long) || !in.Get(state.estimator.t_long) ||
-      !in.Get(state.estimator.deviation) || !in.Get(estimator_rounds) ||
-      !in.Get(has_prober) || !in.Get(state.prober.cursor) ||
-      !in.Get(state.prober.belief) || !in.Get(n_raw) || n_raw > kMaxCount) {
-    return false;
-  }
-  state.estimator.rounds = estimator_rounds;
-  state.has_prober = has_prober != 0;
-  state.raw.resize(n_raw);
-  for (auto& observation : state.raw) {
-    if (!in.Get(observation.round) || !in.Get(observation.value)) {
-      return false;
-    }
-  }
-  std::int32_t down_rounds = 0;
-  std::uint8_t previous_down = 0;
-  std::uint64_t n_starts = 0;
-  if (!in.Get(state.total_probes) || !in.Get(state.rounds_run) ||
-      !in.Get(down_rounds) || !in.Get(previous_down) ||
-      !in.Get(n_starts) || n_starts > kMaxCount) {
-    return false;
-  }
-  state.down_rounds = down_rounds;
-  state.previous_down = previous_down != 0;
-  state.outage_starts.resize(n_starts);
-  for (auto& start : state.outage_starts) {
-    if (!in.Get(start)) return false;
-  }
-  std::uint64_t n_outages = 0;
-  if (!in.Get(n_outages) || n_outages > kMaxCount) return false;
-  state.outages.resize(n_outages);
-  for (auto& outage : state.outages) {
-    if (!in.Get(outage.start_round) || !in.Get(outage.rounds)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void AppendSection(ByteWriter& out, std::uint32_t id, ByteWriter payload) {
   const auto bytes = payload.Take();
   out.Put(id);
@@ -329,79 +257,13 @@ bool DecodeQuarantined(ByteReader& in, Checkpoint& checkpoint) {
   return in.remaining() == 0;
 }
 
+/// INFLIGHT is read for provenance only: the flag byte, never what a
+/// retired engine wrote after it.
 bool DecodeInflight(ByteReader& in, Checkpoint& checkpoint) {
   std::uint8_t has_inflight = 0;
   if (!in.Get(has_inflight)) return false;
   checkpoint.has_inflight = has_inflight != 0;
-  if (!checkpoint.has_inflight) return in.remaining() == 0;
-  std::int32_t failures = 0;
-  if (!in.Get(checkpoint.inflight_next_round) || !in.Get(failures) ||
-      !GetAnalyzerState(in, checkpoint.inflight)) {
-    return false;
-  }
-  checkpoint.inflight_consecutive_failures = failures;
-  return in.remaining() == 0;
-}
-
-/// SLCK v1: the unframed stream format (no checksums, resumed flag
-/// persisted). Reader is positioned just after the u32 version.
-std::optional<Checkpoint> DecodeV1(ByteReader& in,
-                                   CheckpointLoadReport& report) {
-  const auto fail = [&report](const char* what) -> std::optional<Checkpoint> {
-    report.corrupt_sections = std::max(report.corrupt_sections, 1);
-    if (report.detail.empty()) report.detail = what;
-    return std::nullopt;
-  };
-  Checkpoint checkpoint;
-  std::uint8_t resumed = 0;
-  if (!in.Get(checkpoint.fingerprint) ||
-      !in.Get(checkpoint.counts.strict) ||
-      !in.Get(checkpoint.counts.relaxed) ||
-      !in.Get(checkpoint.counts.non_diurnal) ||
-      !in.Get(checkpoint.counts.skipped) ||
-      !GetStats(in, checkpoint.stats) || !in.Get(resumed)) {
-    return fail("v1 header/stats truncated");
-  }
-  checkpoint.stats.resumed_from_checkpoint = resumed != 0;
-  std::uint64_t completed_count = 0;
-  if (!in.Get(completed_count) || completed_count > kMaxCount) {
-    return fail("v1 completed count");
-  }
-  checkpoint.completed.resize(completed_count);
-  for (auto& analysis : checkpoint.completed) {
-    if (!GetAnalysis(in, analysis)) return fail("v1 completed record");
-  }
-  std::uint64_t quarantined_count = 0;
-  if (!in.Get(quarantined_count) || quarantined_count > kMaxCount) {
-    return fail("v1 quarantined count");
-  }
-  checkpoint.quarantined.resize(quarantined_count);
-  for (auto& index : checkpoint.quarantined) {
-    if (!in.Get(index)) return fail("v1 quarantined record");
-  }
-  std::uint8_t has_inflight = 0;
-  if (!in.Get(checkpoint.next_block) || !in.Get(has_inflight)) {
-    return fail("v1 cursor");
-  }
-  checkpoint.has_inflight = has_inflight != 0;
-  if (checkpoint.has_inflight) {
-    std::int32_t failures = 0;
-    if (!in.Get(checkpoint.inflight_next_round) || !in.Get(failures) ||
-        !GetAnalyzerState(in, checkpoint.inflight)) {
-      return fail("v1 inflight state");
-    }
-    checkpoint.inflight_consecutive_failures = failures;
-  }
-  std::uint64_t transport_bytes = 0;
-  if (!in.Get(transport_bytes) || transport_bytes > kMaxCount) {
-    return fail("v1 transport length");
-  }
-  checkpoint.transport_state.resize(transport_bytes);
-  if (!in.GetBytes(checkpoint.transport_state.data(), transport_bytes)) {
-    return fail("v1 transport bytes");
-  }
-  report.generation = checkpoint.stats.checkpoints_written;
-  return checkpoint;
+  return true;
 }
 
 /// SLCK v3: the columnar container. The whole span (not a ByteReader)
@@ -666,7 +528,7 @@ std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
                        8 * analysis.outage_starts.size();
   }
   completed.Reserve(completed_bytes);
-  out.Reserve(completed_bytes + checkpoint.transport_state.size() + 1024);
+  out.Reserve(completed_bytes + 1024);
   completed.Put(static_cast<std::uint64_t>(checkpoint.completed.size()));
   for (const auto& analysis : checkpoint.completed) {
     PutAnalysis(completed, analysis);
@@ -679,18 +541,9 @@ std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
   AppendSection(out, kSectionQuarantined, std::move(quarantined));
 
   ByteWriter inflight;
-  inflight.Put(util::BoolByte(checkpoint.has_inflight));
-  if (checkpoint.has_inflight) {
-    inflight.Put(checkpoint.inflight_next_round);
-    inflight.Put(util::CheckedNarrow<std::int32_t>(
-        checkpoint.inflight_consecutive_failures));
-    PutAnalyzerState(inflight, checkpoint.inflight);
-  }
+  inflight.Put(std::uint8_t{0});  // no in-flight block, ever
   AppendSection(out, kSectionInflight, std::move(inflight));
-
-  ByteWriter transport;
-  transport.PutBytes(checkpoint.transport_state);
-  AppendSection(out, kSectionTransport, std::move(transport));
+  AppendSection(out, kSectionTransport, ByteWriter{});
 
   return out.Take();
 }
@@ -718,16 +571,9 @@ std::vector<std::uint8_t> EncodeCheckpointColumnar(
   writer.AddTyped<std::uint32_t>(
       kColQuarantined, std::span<const std::uint32_t>{checkpoint.quarantined});
 
-  ByteWriter inflight;
-  inflight.Put(util::BoolByte(checkpoint.has_inflight));
-  if (checkpoint.has_inflight) {
-    inflight.Put(checkpoint.inflight_next_round);
-    inflight.Put(util::CheckedNarrow<std::int32_t>(
-        checkpoint.inflight_consecutive_failures));
-    PutAnalyzerState(inflight, checkpoint.inflight);
-  }
-  writer.Add(kColInflight, 1, inflight.bytes());
-  writer.Add(kColTransport, 1, checkpoint.transport_state);
+  constexpr std::uint8_t kNoInflight[1] = {0};
+  writer.Add(kColInflight, 1, kNoInflight);
+  writer.Add(kColTransport, 1, std::span<const std::uint8_t>{});
 
   // COMPLETED, shredded: one fixed-width value per record per column,
   // series/outage payloads concatenated into blobs in record order.
@@ -898,7 +744,6 @@ std::optional<Checkpoint> DecodeCheckpoint(std::span<const std::uint8_t> bytes,
     out.detail = "truncated before version";
     return std::nullopt;
   }
-  if (out.version == 1) return DecodeV1(in, out);
   if (out.version == kCheckpointVersionColumnar) {
     return DecodeV3(bytes, out);
   }

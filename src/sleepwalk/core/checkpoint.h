@@ -1,12 +1,12 @@
 // Campaign checkpoint persistence.
 //
 // A killed A_12w-style campaign used to lose everything; a checkpoint
-// makes the campaign resumable *bit-identically*: it captures the
-// completed per-block analyses at full double precision, the in-flight
-// block's mutable state (estimator EWMAs, prober cursor/belief, raw
-// A-hat_s observations, outage bookkeeping), the aggregate counts,
-// resilience statistics, and the transport's serialized state (for
-// stateful/simulated transports).
+// makes the campaign resumable *bit-identically*. The campaign engine
+// (core/parallel_executor.h) checkpoints only at block boundaries, so a
+// checkpoint is an exact block prefix: the completed per-block analyses
+// at full double precision, the aggregate counts, the resilience
+// statistics (probe accounting included — the only transport state
+// there is), and the index of the first unfinished block.
 //
 // Format "SLCK" v2 (little-endian; encode/decode are pure in-memory
 // transforms over storage/bytes.h, moved atomically by storage/file.h):
@@ -23,8 +23,13 @@
 //               resilience stats, next_block
 //   COMPLETED   finished BlockAnalysis records (full f64 series)
 //   QUARANTINED abandoned prefix indices
-//   INFLIGHT    the open block's BlockAnalyzerState, if any
-//   TRANSPORT   serialized transport state
+//   INFLIGHT    one flag byte, always written 0
+//   TRANSPORT   always written empty
+// INFLIGHT and TRANSPORT once carried a retired engine's mid-block
+// analyzer state and transport snapshot. They stay in the layout so old
+// and new binaries read each other's files; decoding reads only the
+// flag byte and the blob's presence, and resume refuses a file that has
+// either set.
 //
 // Every section is independently CRC32C-framed (net/checksum.h), so a
 // torn write, a truncation, or a bit flip is *detected* — and the
@@ -33,9 +38,9 @@
 // the newest intact generation when the primary file is damaged,
 // quarantining the corrupt file as <name>.corrupt for post-mortem.
 //
-// v1 files (the pre-checksum format) are still readable, and so are
 // SLCK v3 columnar containers (storage/columnar.h) — the paper-scale
-// layout a campaign opts into with checkpoint_format = 3. The
+// layout and the SupervisorConfig default — read back through the same
+// decoder; v1 files (the pre-checksum format) are refused. The
 // fingerprint binds a checkpoint to its campaign:
 // resuming with different targets, rounds, seed, or schedule is refused
 // rather than silently producing a franken-dataset. The generation
@@ -67,8 +72,8 @@ inline constexpr std::uint32_t kCheckpointVersion = 2;
 /// concatenated blobs (series values, outage starts, outage episodes),
 /// so a paper-scale checkpoint loads through storage::Env::Map with one
 /// bulk copy per column instead of one decode per field per record.
-/// Campaigns opt in via SupervisorConfig::checkpoint_format = 3; the
-/// decoder handles v1, v2, and v3 transparently.
+/// Campaigns pick it via SupervisorConfig::checkpoint_format (3 is the
+/// default); the decoder handles v2 and v3 transparently.
 inline constexpr std::uint32_t kCheckpointVersionColumnar = 3;
 
 /// Everything a resumed campaign needs.
@@ -85,11 +90,11 @@ struct Checkpoint {
   std::vector<std::uint32_t> quarantined;  ///< prefix indices abandoned
   std::uint64_t next_block = 0;  ///< index of the first unfinished target
 
+  /// Decode-only provenance: the INFLIGHT flag byte and the TRANSPORT
+  /// blob as read. The encoders ignore both (they write 0 and empty);
+  /// either one set marks a file from the retired mid-block engine,
+  /// which resume refuses.
   bool has_inflight = false;
-  std::int64_t inflight_next_round = 0;
-  int inflight_consecutive_failures = 0;
-  BlockAnalyzerState inflight;
-
   std::vector<std::uint8_t> transport_state;
 };
 
@@ -136,8 +141,9 @@ std::vector<std::uint8_t> EncodeCheckpointColumnar(
 std::vector<std::uint8_t> EncodeCheckpointAs(const Checkpoint& checkpoint,
                                              std::uint32_t format);
 
-/// Decodes SLCK v1, v2, or v3 bytes; nullopt on bad magic, version
-/// mismatch, truncation, or any CRC failure (details in `report`).
+/// Decodes SLCK v2 or v3 bytes; nullopt on bad magic, an unsupported
+/// version (v1 included), truncation, or any CRC failure (details in
+/// `report`).
 std::optional<Checkpoint> DecodeCheckpoint(
     std::span<const std::uint8_t> bytes,
     CheckpointLoadReport* report = nullptr);

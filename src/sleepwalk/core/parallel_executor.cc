@@ -1,5 +1,6 @@
 #include "sleepwalk/core/parallel_executor.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -182,11 +183,11 @@ class CompletionQueue {
   std::map<std::size_t, BlockResult> pending_ SLEEPWALK_GUARDED_BY(mutex_);
 };
 
-/// Measures one block end to end on a worker thread: same round loop as
-/// RunResilientCampaign (gaps, forced restarts, retry with rollback,
-/// quarantine), but every side effect lands in block-private state — a
-/// stats delta instead of the shared ledger, buffered sinks instead of
-/// the parent's. The worker never touches the campaign's obs context.
+/// Measures one block end to end on a worker thread — the campaign's
+/// round loop (gaps, forced restarts, retry with rollback, quarantine) —
+/// with every side effect in block-private state: a stats delta instead
+/// of the shared ledger, buffered sinks instead of the parent's. The
+/// worker never touches the campaign's obs context.
 BlockResult RunBlock(std::size_t index, BlockTarget& target,
                      ShardChain& chain, const SupervisorConfig& config,
                      std::int64_t n_rounds, const ObsShape& shape,
@@ -322,7 +323,7 @@ BlockResult RunBlock(std::size_t index, BlockTarget& target,
     analyzer.Finish(scratch, out.commit.analysis);
   }
 
-  out.commit.estimator = analyzer.ExportState().estimator;
+  out.commit.estimator = analyzer.estimator().ExportState();
   out.commit.block = target.block;
   out.commit.quarantined = quarantined;
   out.commit.delta = delta;
@@ -358,7 +359,7 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
   const bool deterministic =
       obs.log == nullptr || obs.log->config().deterministic;
   // Wall-derived values (rounds/sec) never reach deterministic sinks or
-  // campaign state, exactly as in the sequential supervisor.
+  // campaign state.
   const auto wall_start =
       std::chrono::steady_clock::now();  // sleeplint: allow(no-wallclock)
   const auto campaign_span = obs.Span("campaign");
@@ -420,9 +421,9 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
                          recovery.generations_discarded}});
       }
     }
-    // Parallel checkpoints are always exact block prefixes; anything
-    // with in-flight analyzer state or a captured transport stream came
-    // from a mid-block sequential snapshot and is refused (resuming it
+    // Checkpoints are always exact block prefixes; a file carrying
+    // in-flight analyzer state or a transport snapshot was written by the
+    // retired mid-block sequential engine and is refused (resuming it
     // block-granularly would double-count the partial rounds).
     if (checkpoint &&
         checkpoint->completed.size() == checkpoint->next_block &&
@@ -584,8 +585,7 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
     // Merge this block's buffered telemetry — registry first (values),
     // then log bytes, then spans — and advance the campaign clock to the
     // block's final virtual time so the coordinator's own records (the
-    // checkpoint write, the heartbeat) are stamped where the sequential
-    // loop would stamp them.
+    // checkpoint write, the heartbeat) are stamped at the block's end.
     if (obs.metrics != nullptr && result.registry != nullptr) {
       obs.metrics->MergeFrom(*result.registry);
     }
@@ -603,14 +603,15 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
       metrics.blocks_total->Set(static_cast<double>(targets.size()));
     }
 
-    const bool boundary_due =
-        config.checkpoint_every_blocks <= 1 ||
-        (i + 1) % static_cast<std::size_t>(config.checkpoint_every_blocks) ==
-            0 ||
-        i + 1 == targets.size();  // completion always checkpoints
-    if (!config.checkpoint_path.empty() && boundary_due) {
-      Checkpoint checkpoint = ledger.BuildCheckpointSnapshot(
-          fingerprint, i + 1, /*has_inflight=*/false, 0, 0, nullptr);
+    // The first checkpoint_every_blocks boundary at or after this commit;
+    // completion always counts as one. A save is due when it is this one.
+    const std::size_t stride = static_cast<std::size_t>(
+        std::max(config.checkpoint_every_blocks, 1));
+    const std::size_t next_boundary =
+        std::min((i + stride) / stride * stride, targets.size());
+    if (!config.checkpoint_path.empty() && next_boundary == i + 1) {
+      Checkpoint checkpoint =
+          ledger.BuildCheckpointSnapshot(fingerprint, i + 1);
       const auto span = obs.Span("checkpoint.write");
       const std::uint64_t save_start = MonotonicNowNs();
       const auto error = store.Save(checkpoint);
@@ -658,11 +659,11 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
       heartbeat.rounds_per_sec =
           static_cast<double>(heartbeat.rounds_done) / elapsed_sec;
     }
-    if (!config.checkpoint_path.empty() &&
-        config.checkpoint_every_rounds > 0) {
+    if (!config.checkpoint_path.empty()) {
+      // Whole blocks of rounds until the next save; 0 when this commit
+      // just saved.
       heartbeat.rounds_to_checkpoint =
-          config.checkpoint_every_rounds -
-          heartbeat.rounds_done % config.checkpoint_every_rounds;
+          static_cast<std::int64_t>(next_boundary - (i + 1)) * n_rounds;
     }
     if (!deterministic && metrics.rounds_per_sec != nullptr) {
       metrics.rounds_per_sec->Set(heartbeat.rounds_per_sec);

@@ -1,4 +1,8 @@
-// Work-stealing parallel campaign executor with a deterministic merge.
+// The campaign engine: work-stealing block-sharded execution with a
+// deterministic merge. It is the only campaign engine — RunCampaign
+// (core/pipeline.h) is this executor at one worker over a
+// PlainShardChain — so workers = 1 is a degenerate case, not a second
+// code path.
 //
 // The block universe is sharded across N worker threads. Each worker
 // owns a private transport chain (built by the caller's ShardFactory —
@@ -86,17 +90,20 @@ struct ParallelConfig {
   int workers = 0;
 };
 
-/// Runs (or resumes) a hardened campaign over `targets`, sharded across
-/// worker threads, with results committed in block order so the outcome
-/// is byte-identical for any worker count. Semantics follow
-/// RunResilientCampaign with three block-granular differences:
-///   * checkpoints are written after every committed block (never
-///     mid-block), always with has_inflight=false and an empty
-///     transport_state — a checkpoint is an exact block prefix;
-///   * resume accepts only such block-boundary checkpoints (a mid-block
-///     sequential checkpoint is refused and the campaign starts fresh);
+/// Runs (or resumes) a hardened campaign over `targets` (see
+/// core/supervisor.h for the policy), sharded across worker threads,
+/// with results committed in block order so the outcome is
+/// byte-identical for any worker count. Everything is block-granular:
+///   * checkpoints are written at checkpoint_every_blocks commit
+///     boundaries and at completion — each is an exact block prefix;
+///   * resume accepts only such block-prefix checkpoints (a file from
+///     the retired mid-block engine — in-flight state or a transport
+///     snapshot — is refused and the campaign starts fresh);
 ///   * stop_after_rounds takes effect at the first block commit at or
-///     past the threshold rather than mid-block.
+///     past the threshold.
+/// Telemetry reaches a chain's transport only through
+/// ShardChain::AttachObs, so a chain's instruments always write into the
+/// running block's buffered sinks.
 CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
                                     const ShardFactory& factory,
                                     std::int64_t n_rounds,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -9,7 +10,6 @@
 #include "sleepwalk/core/dataset.h"
 #include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
-#include "sleepwalk/core/supervisor.h"
 
 namespace sleepwalk::core {
 
@@ -17,15 +17,22 @@ DatasetResult RunCampaign(std::vector<BlockTarget> targets,
                           net::Transport& transport, std::int64_t n_rounds,
                           const AnalyzerConfig& config, std::uint64_t seed,
                           const ProgressFn& progress) {
-  // The plain campaign is the resilient one with recovery switched off:
-  // no checkpointing, no injected faults, and on a well-behaved transport
-  // the retry/quarantine paths never trigger.
+  // The plain campaign is the hardened one with recovery switched off
+  // (no checkpointing, no injected faults; on a well-behaved transport
+  // the retry/quarantine paths never trigger), run by the one campaign
+  // engine at one worker so the caller's transport is never shared.
   SupervisorConfig supervisor;
   supervisor.analyzer = config;
   supervisor.seed = seed;
   supervisor.progress = progress;
-  return RunResilientCampaign(std::move(targets), transport, n_rounds,
-                              supervisor)
+  ParallelConfig parallel;
+  parallel.workers = 1;
+  return RunParallelCampaign(
+             std::move(targets),
+             [&transport](std::size_t) {
+               return std::make_unique<PlainShardChain>(transport);
+             },
+             n_rounds, supervisor, parallel)
       .result;
 }
 
@@ -37,13 +44,6 @@ std::vector<BlockAnalysis> ReanalyzeDataset(const Dataset& dataset,
   if (n == 0) return analyses;
   const std::size_t n_workers = std::min<std::size_t>(
       static_cast<std::size_t>(workers > 0 ? workers : HardwareWorkers()), n);
-  if (n_workers <= 1) {
-    AnalysisScratch scratch;
-    for (std::size_t i = 0; i < n; ++i) {
-      Reanalyze(dataset.blocks[i], config, scratch, analyses[i]);
-    }
-    return analyses;
-  }
   // Classification is a pure function of one stored series, so a shared
   // claim counter plus by-index writes into the pre-sized vector needs
   // no further synchronization and keeps the output order fixed. Each
@@ -74,15 +74,6 @@ DiurnalCounts ReanalyzeDatasetColumnar(const ColumnarDatasetView& view,
   if (n == 0) return counts;
   const std::size_t n_workers = std::min<std::size_t>(
       static_cast<std::size_t>(workers > 0 ? workers : HardwareWorkers()), n);
-  if (n_workers <= 1) {
-    AnalysisScratch scratch;
-    BlockAnalysis analysis;
-    for (std::size_t i = 0; i < n; ++i) {
-      ReanalyzeColumnar(view, i, config, scratch, analysis);
-      ClassifyAnalysis(analysis, /*quarantined=*/false, counts);
-    }
-    return counts;
-  }
   // Same claim-counter fan-out as ReanalyzeDataset, but each worker
   // folds into a private DiurnalCounts and reuses ONE BlockAnalysis —
   // nothing per-block is ever materialized, which is what lets the

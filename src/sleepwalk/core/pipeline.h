@@ -62,8 +62,9 @@ struct CampaignProgress {
   std::int64_t rounds_done = 0;         ///< this process, incl. gaps
   std::uint64_t quarantined = 0;        ///< blocks abandoned so far
   double rounds_per_sec = 0.0;          ///< wall-clock rate; 0 if unknown
-  /// Rounds until the next periodic checkpoint; -1 when checkpointing is
-  /// off or only block-boundary snapshots are taken.
+  /// Rounds until the next checkpoint write: blocks left to the next
+  /// checkpoint_every_blocks boundary times the rounds per block, 0 on
+  /// the block whose commit just wrote one; -1 when checkpointing is off.
   std::int64_t rounds_to_checkpoint = -1;
 
   /// Wall-clock seconds until the next checkpoint at the current rate;
@@ -123,8 +124,9 @@ class ProgressFn {
 };
 
 /// Runs an `n_rounds`-round campaign over every target through
-/// `transport`. Blocks are measured one at a time (memory stays O(1
-/// block)); `progress`, when set, is called after each block.
+/// `transport`: core::RunParallelCampaign at one worker over a
+/// PlainShardChain, so blocks are measured one at a time on one
+/// transport; `progress`, when set, is called after each block.
 DatasetResult RunCampaign(std::vector<BlockTarget> targets,
                           net::Transport& transport, std::int64_t n_rounds,
                           const AnalyzerConfig& config = {},

@@ -1,6 +1,6 @@
 // Live campaign status: the snapshot-isolated read path behind /statusz.
 //
-// A running campaign (sequential supervisor or parallel executor)
+// A running campaign (core/parallel_executor.h, at any worker count)
 // attaches a provider to a StatusHub; the admin plane (serve/) calls
 // Snapshot() from its own thread and gets a CampaignStatus assembled
 // from one locked read of the CampaignLedger plus the executor's live
@@ -32,8 +32,8 @@
 
 namespace sleepwalk::core {
 
-/// One worker's scheduling counters (parallel executor only; a
-/// sequential campaign reports a single shard with zero steals).
+/// One worker's scheduling counters (a one-worker campaign reports a
+/// single shard with zero steals).
 struct ShardRuntime {
   std::uint64_t worker = 0;
   std::uint64_t blocks_run = 0;   ///< blocks this worker measured

@@ -1,18 +1,20 @@
-// Resilient campaign supervisor.
+// Campaign supervision policy: the knobs and the outcome of a hardened
+// campaign.
 //
 // RunCampaign assumes a perfect transport and an uninterrupted process;
-// a real A_12w-style campaign gets neither. The supervisor hardens the
-// same per-block measurement loop with:
+// a real A_12w-style campaign gets neither. core::RunParallelCampaign
+// (core/parallel_executor.h) — the one campaign engine, at any worker
+// count — hardens the per-block measurement loop with:
 //   * retry with exponential backoff — a round aborted by a
 //     net::TransportError is rolled back (prober cursor + belief) and
 //     re-run, with deterministic jittered delays, capped;
 //   * quarantine — a block whose rounds keep failing after retries is
 //     abandoned and accounted under DiurnalCounts::skipped; the campaign
 //     degrades to partial results instead of aborting;
-//   * checkpoint/resume — the full mutable state is periodically written
-//     to a versioned snapshot (core/checkpoint.h); a killed campaign
-//     resumed from its latest checkpoint produces a byte-identical
-//     DatasetResult to an uninterrupted run;
+//   * checkpoint/resume — the committed block prefix is written to a
+//     versioned snapshot (core/checkpoint.h) at block boundaries; a
+//     killed campaign resumed from its latest checkpoint produces a
+//     byte-identical DatasetResult to an uninterrupted run;
 //   * fault-plan hooks — scheduled prober restarts (the §4 artifact) and
 //     clock-gap windows (rounds the prober sleeps through), which the
 //     cleaning stage (§2.2) then has to repair.
@@ -57,11 +59,9 @@ struct SupervisorConfig {
   int quarantine_after_failures = 3;
 
   /// Checkpoint snapshot path; empty disables checkpointing. When the
-  /// file already holds a checkpoint with a matching fingerprint, Run()
-  /// resumes from it.
+  /// file already holds a checkpoint with a matching fingerprint, the
+  /// campaign resumes from it.
   std::string checkpoint_path;
-  /// Global rounds between checkpoints (0 = only at block boundaries).
-  std::int64_t checkpoint_every_rounds = 0;
   /// Block boundaries between checkpoints (<= 1 = every boundary). A
   /// checkpoint re-serializes every completed analysis, so per-block
   /// saves cost O(blocks^2) over a campaign; raising the stride trades
@@ -70,8 +70,8 @@ struct SupervisorConfig {
   /// writes a final checkpoint whatever the stride.
   int checkpoint_every_blocks = 1;
   /// Checkpoint generations retained as hard links <path>.g<N> alongside
-  /// the primary file; when the primary is corrupt on resume, Run()
-  /// self-heals from the newest intact generation. <= 1 keeps only the
+  /// the primary file; when the primary is corrupt on resume, the
+  /// campaign self-heals from the newest intact generation. <= 1 keeps only the
   /// primary file (no rotation, no self-healing).
   int checkpoint_keep = 3;
   /// On-disk checkpoint encoding: kCheckpointVersionColumnar (3, the
@@ -91,10 +91,10 @@ struct SupervisorConfig {
   /// Half-open round ranges [first, last) the prober sleeps through.
   std::vector<std::pair<std::int64_t, std::int64_t>> gap_round_windows;
 
-  /// Stop (as if SIGKILLed at a round boundary) after this many globally
-  /// processed rounds, writing a final checkpoint; 0 = run to completion.
-  /// Exercised by crash/resume tests and usable for cooperative
-  /// time-slicing.
+  /// Stop (as if SIGKILLed at a block boundary) at the first block commit
+  /// at or past this many globally processed rounds; 0 = run to
+  /// completion. Exercised by kill/resume tests and usable for
+  /// cooperative time-slicing.
   std::int64_t stop_after_rounds = 0;
 
   /// Called with each backoff delay; wire a real sleep for live probing,
@@ -122,8 +122,8 @@ struct SupervisorConfig {
 };
 
 /// A campaign's results plus its resilience accounting. `stats.probes`
-/// stays empty unless the caller merges transport-level accounting (for
-/// example faults::FaultyTransport::accounting()).
+/// is the sum of the per-block ShardChain::accounting() deltas; it stays
+/// empty for chains that keep no accounting (PlainShardChain).
 struct CampaignOutcome {
   DatasetResult result;
   report::ResilienceStats stats;
@@ -138,13 +138,6 @@ struct CampaignOutcome {
   /// are exact when the checkpoint was v3 (v2 never persisted them).
   BlockStore store;
 };
-
-/// Runs (or resumes) a hardened campaign over `targets` through
-/// `transport` for `n_rounds` rounds per block.
-CampaignOutcome RunResilientCampaign(std::vector<BlockTarget> targets,
-                                     net::Transport& transport,
-                                     std::int64_t n_rounds,
-                                     const SupervisorConfig& config = {});
 
 }  // namespace sleepwalk::core
 

@@ -22,11 +22,9 @@ void FaultyTransport::AttachObs(const obs::Context& context) {
   fault_counters_[kFaultLoss] = context.CounterOrNull(
       "fault_injected_loss_total", "injected packet loss");
   // Counters attached mid-campaign report activity from this point
-  // forward: the parallel executor re-points one chain at a fresh
+  // forward: the campaign engine re-points one chain at a fresh
   // per-block registry for every block it measures, and replaying the
-  // cumulative history into each would multiply-count probes. Checkpoint
-  // restores still replay restored totals via RestoreState's own
-  // MirrorAccounting call.
+  // cumulative history into each would multiply-count probes.
   mirrored_ = accounting_;
 }
 
@@ -153,32 +151,6 @@ net::ProbeStatus FaultyTransport::Probe(net::Ipv4Addr target,
   }
   MirrorAccounting();
   return status;
-}
-
-void FaultyTransport::SaveState(std::vector<std::uint8_t>& out) const {
-  const auto append = [&out](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    out.insert(out.end(), p, p + bytes);
-  };
-  append(&accounting_, sizeof(accounting_));
-  if (const auto* stateful =
-          dynamic_cast<const net::StatefulTransport*>(&inner_)) {
-    stateful->SaveState(out);
-  }
-}
-
-bool FaultyTransport::RestoreState(std::span<const std::uint8_t> in) {
-  if (in.size() < sizeof(accounting_)) return false;
-  std::copy_n(in.data(), sizeof(accounting_),
-              reinterpret_cast<std::uint8_t*>(&accounting_));
-  const auto rest = in.subspan(sizeof(accounting_));
-  // The restored accounting includes pre-kill probes; fold the jump into
-  // the mirrored counters so the metric series resumes exactly.
-  MirrorAccounting();
-  if (auto* stateful = dynamic_cast<net::StatefulTransport*>(&inner_)) {
-    return stateful->RestoreState(rest);
-  }
-  return rest.empty();
 }
 
 }  // namespace sleepwalk::faults

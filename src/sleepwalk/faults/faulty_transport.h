@@ -15,8 +15,9 @@
 //
 // Determinism: all draws are stateless hashes of (seed, target, window,
 // attempt); transient per-window counters reset whenever the probed
-// (block, instant) changes. A campaign checkpointed at a round boundary
-// and resumed therefore replays the identical fault sequence.
+// (block, instant) changes. A block therefore sees the identical fault
+// sequence whichever chain measures it and whatever ran before it, so a
+// campaign resumed at a block boundary replays the uninterrupted run.
 #ifndef SLEEPWALK_FAULTS_FAULTY_TRANSPORT_H_
 #define SLEEPWALK_FAULTS_FAULTY_TRANSPORT_H_
 
@@ -32,7 +33,7 @@
 namespace sleepwalk::faults {
 
 /// Fault-injecting decorator. The inner transport must outlive it.
-class FaultyTransport final : public net::StatefulTransport {
+class FaultyTransport final : public net::Transport {
  public:
   FaultyTransport(net::Transport& inner, FaultPlan plan);
 
@@ -46,12 +47,6 @@ class FaultyTransport final : public net::StatefulTransport {
 
   net::ProbeStatus Probe(net::Ipv4Addr target,
                          std::int64_t when_sec) override;
-
-  /// Persists probe accounting plus the inner transport's state (when the
-  /// inner transport is stateful). Per-window transients are not state:
-  /// they reset at the next round instant anyway.
-  void SaveState(std::vector<std::uint8_t>& out) const override;
-  bool RestoreState(std::span<const std::uint8_t> in) override;
 
   const report::ProbeAccounting& accounting() const noexcept {
     return accounting_;
@@ -75,8 +70,7 @@ class FaultyTransport final : public net::StatefulTransport {
   void NoteFault(FaultKind kind, net::Ipv4Addr target,
                  std::int64_t when_sec);
   /// Increments the shared probe counters by however much accounting_
-  /// advanced since the last mirror, so metrics stay exact across both
-  /// normal probes and checkpoint restores.
+  /// advanced since the last mirror.
   void MirrorAccounting() noexcept;
 
   net::Transport& inner_;

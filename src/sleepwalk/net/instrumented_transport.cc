@@ -66,18 +66,4 @@ ProbeStatus InstrumentedTransport::Probe(Ipv4Addr target,
   return status;
 }
 
-void InstrumentedTransport::SaveState(std::vector<std::uint8_t>& out) const {
-  if (const auto* stateful =
-          dynamic_cast<const StatefulTransport*>(&inner_)) {
-    stateful->SaveState(out);
-  }
-}
-
-bool InstrumentedTransport::RestoreState(std::span<const std::uint8_t> in) {
-  if (auto* stateful = dynamic_cast<StatefulTransport*>(&inner_)) {
-    return stateful->RestoreState(in);
-  }
-  return in.empty();
-}
-
 }  // namespace sleepwalk::net

@@ -9,9 +9,8 @@
 // indistinguishable from loss, so rate_limited stays 0 here; the faulty
 // transport attributes it precisely.)
 //
-// Pass-through is exact: status values, exceptions, and state
-// save/restore all reach the inner transport unmodified, so wrapping is
-// inert with respect to campaign results.
+// Pass-through is exact: status values and exceptions reach the caller
+// unmodified, so wrapping is inert with respect to campaign results.
 #ifndef SLEEPWALK_NET_INSTRUMENTED_TRANSPORT_H_
 #define SLEEPWALK_NET_INSTRUMENTED_TRANSPORT_H_
 
@@ -59,7 +58,7 @@ struct ProbeCounters {
 };
 
 /// The decorator. Inner transport must outlive it.
-class InstrumentedTransport final : public StatefulTransport {
+class InstrumentedTransport final : public Transport {
  public:
   InstrumentedTransport(Transport& inner, const obs::Context& context);
 
@@ -70,11 +69,6 @@ class InstrumentedTransport final : public StatefulTransport {
   /// instruments at the block's buffered registry; the cumulative
   /// accounting() is unaffected.
   void AttachObs(const obs::Context& context);
-
-  /// Forwarded to the inner transport when it is stateful; accounting is
-  /// derived telemetry, not campaign state, so it is not persisted.
-  void SaveState(std::vector<std::uint8_t>& out) const override;
-  bool RestoreState(std::span<const std::uint8_t> in) override;
 
   const report::ProbeAccounting& accounting() const noexcept {
     return accounting_;

@@ -8,10 +8,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "sleepwalk/net/ipv4.h"
 
@@ -47,17 +45,6 @@ class Transport {
  public:
   virtual ~Transport() = default;
   virtual ProbeStatus Probe(Ipv4Addr target, std::int64_t when_sec) = 0;
-};
-
-/// A transport whose internal randomness/counters can be persisted, so a
-/// checkpointed campaign resumes bit-identically to an uninterrupted run.
-/// Live transports have no meaningful state to save; simulated ones do.
-class StatefulTransport : public Transport {
- public:
-  /// Appends an opaque serialized state blob to `out`.
-  virtual void SaveState(std::vector<std::uint8_t>& out) const = 0;
-  /// Restores state written by SaveState; false on malformed input.
-  virtual bool RestoreState(std::span<const std::uint8_t> in) = 0;
 };
 
 /// Live transport over a RawIcmpSocket. Construction fails (returns null)

@@ -132,18 +132,4 @@ net::ProbeStatus SimTransport::Probe(net::Ipv4Addr target,
              : net::ProbeStatus::kTimeout;
 }
 
-void SimTransport::SaveState(std::vector<std::uint8_t>& out) const {
-  const auto* p = reinterpret_cast<const std::uint8_t*>(&probes_sent_);
-  out.insert(out.end(), p, p + sizeof(probes_sent_));
-}
-
-bool SimTransport::RestoreState(std::span<const std::uint8_t> in) {
-  if (in.size() != sizeof(probes_sent_)) return false;
-  std::copy_n(in.data(), sizeof(probes_sent_),
-              reinterpret_cast<std::uint8_t*>(&probes_sent_));
-  current_when_ = -1;
-  attempt_counts_.clear();
-  return true;
-}
-
 }  // namespace sleepwalk::sim

@@ -88,10 +88,10 @@ double DiurnalStartOf(const BlockSpec& spec, std::uint8_t octet) noexcept;
 /// same instant (retried rounds re-draw, as a real network would). No
 /// draw depends on probe order, so two transports with the same site
 /// seed agree probe-for-probe even when different workers probe
-/// different subsets of blocks — the property the parallel executor's
+/// different subsets of blocks — the property the campaign engine's
 /// N-thread == 1-thread byte-identity rests on. The only mutable state
-/// is the probes_sent accounting; checkpoints persist just that.
-class SimTransport final : public net::StatefulTransport {
+/// is the probes_sent accounting.
+class SimTransport final : public net::Transport {
  public:
   explicit SimTransport(std::uint64_t site_seed) : site_seed_(site_seed) {}
 
@@ -99,9 +99,6 @@ class SimTransport final : public net::StatefulTransport {
   void AddBlock(const BlockSpec* spec);
 
   net::ProbeStatus Probe(net::Ipv4Addr target, std::int64_t when_sec) override;
-
-  void SaveState(std::vector<std::uint8_t>& out) const override;
-  bool RestoreState(std::span<const std::uint8_t> in) override;
 
   std::uint64_t probes_sent() const noexcept { return probes_sent_; }
 
@@ -112,9 +109,8 @@ class SimTransport final : public net::StatefulTransport {
 
   // Per-instant attempt transients (same idiom as FaultyTransport):
   // reset whenever the probed instant changes, so they are derived
-  // cache, not state a checkpoint must carry — a campaign resumed at a
-  // round boundary starts the instant with fresh counters exactly as an
-  // uninterrupted run did.
+  // cache, not state — a block starts each instant with fresh counters
+  // whatever the transport probed before it.
   std::int64_t current_when_ = -1;
   std::unordered_map<std::uint32_t, std::uint32_t> attempt_counts_;
 };

@@ -4,7 +4,7 @@
 // The decorator is exactly pass-through — same return values, same
 // exceptions (a FaultyEnv's CrashInjected unwinds straight through), no
 // extra Env calls — so wrapping changes no persisted byte and no
-// failpoint ordinal. The supervisor and the parallel executor wrap the
+// failpoint ordinal. The campaign engine wraps the
 // checkpoint store's env with this, which makes the op/byte counters a
 // live census of checkpoint I/O (the PR 6 durability-tax story, now
 // observable on a running campaign).

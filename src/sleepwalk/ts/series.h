@@ -35,11 +35,6 @@ class RawSeries {
   bool empty() const noexcept { return observations_.empty(); }
   std::size_t size() const noexcept { return observations_.size(); }
 
-  /// Replaces the contents wholesale (checkpoint restore).
-  void RestoreObservations(std::vector<Observation> observations) {
-    observations_ = std::move(observations);
-  }
-
  private:
   std::vector<Observation> observations_;
 };

@@ -1,15 +1,17 @@
 // SLCK v2 robustness: every single-byte corruption and every truncation
 // of a checkpoint file must be detected; the CheckpointStore must
-// self-heal from retained generations; mixed-version splices must be
-// refused; v1 files must still read.
+// self-heal from retained generations; mixed-version splices and v1
+// files must be refused.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "sleepwalk/core/checkpoint.h"
+#include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/net/checksum.h"
 #include "sleepwalk/sim/world.h"
@@ -51,8 +53,14 @@ core::SupervisorConfig ConfigFor(storage::Env& env, int keep = 3) {
 core::CampaignOutcome RunOnce(const sim::SimWorld& world, storage::Env& env,
                               int keep = 3) {
   auto transport = world.MakeTransport(3);
-  return core::RunResilientCampaign(TargetsOf(world), *transport, 30,
-                                    ConfigFor(env, keep));
+  core::ParallelConfig parallel;
+  parallel.workers = 1;
+  return core::RunParallelCampaign(
+      TargetsOf(world),
+      [&transport](std::size_t) {
+        return std::make_unique<core::PlainShardChain>(*transport);
+      },
+      30, ConfigFor(env, keep), parallel);
 }
 
 std::vector<std::uint8_t> FileBytes(storage::Env& env,
@@ -284,7 +292,10 @@ TEST(CheckpointRobustness, FingerprintMismatchIsSilentlySkipped) {
   EXPECT_FALSE(env.Exists(std::string{kPath} + ".corrupt"));
 }
 
-TEST(CheckpointRobustness, V1FilesStillRead) {
+TEST(CheckpointRobustness, V1FilesAreRefused) {
+  // A well-formed SLCK v1 file (the unframed, checksum-free stream
+  // format). Its decoder is retired: the version check must refuse it
+  // up front, not hand its bytes to the v2 or v3 parser.
   storage::ByteWriter out;
   const char magic[4] = {'S', 'L', 'C', 'K'};
   out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(magic), 4});
@@ -294,16 +305,9 @@ TEST(CheckpointRobustness, V1FilesStillRead) {
   out.Put(std::int64_t{1});         // counts.relaxed
   out.Put(std::int64_t{2});         // counts.non_diurnal
   out.Put(std::int64_t{0});         // counts.skipped
-  out.Put(std::uint64_t{10});       // probes.attempts
-  out.Put(std::uint64_t{1});        // probes.errors
-  out.Put(std::uint64_t{7});        // probes.answered
-  out.Put(std::uint64_t{2});        // probes.lost
-  out.Put(std::uint64_t{0});        // probes.rate_limited
-  out.Put(std::uint64_t{0});        // probes.unreachable
-  out.Put(std::uint64_t{40});       // rounds_attempted
-  out.Put(std::uint64_t{0});        // rounds_failed
-  out.Put(std::uint64_t{0});        // rounds_gapped
-  out.Put(std::uint64_t{0});        // retries
+  for (int i = 0; i < 10; ++i) {
+    out.Put(std::uint64_t{0});      // probes.*, rounds_*, retries
+  }
   out.Put(double{0.0});             // backoff_seconds
   out.Put(std::uint64_t{0});        // forced_restarts
   out.Put(std::uint64_t{0});        // quarantined_blocks
@@ -317,24 +321,22 @@ TEST(CheckpointRobustness, V1FilesStillRead) {
   const auto bytes = out.Take();
 
   core::CheckpointLoadReport report;
-  const auto checkpoint = core::DecodeCheckpoint(bytes, &report);
-  ASSERT_TRUE(checkpoint.has_value()) << report.detail;
+  EXPECT_FALSE(core::DecodeCheckpoint(bytes, &report).has_value());
+  EXPECT_FALSE(report.bad_magic);
   EXPECT_EQ(report.version, 1u);
-  EXPECT_EQ(report.generation, 7u);
-  EXPECT_EQ(checkpoint->fingerprint, 0xfeedu);
-  EXPECT_EQ(checkpoint->counts.strict, 3);
-  EXPECT_EQ(checkpoint->counts.non_diurnal, 2);
-  EXPECT_EQ(checkpoint->stats.checkpoints_written, 7u);
-  EXPECT_EQ(checkpoint->next_block, 6u);
-  EXPECT_TRUE(checkpoint->stats.resumed_from_checkpoint);
-  EXPECT_FALSE(checkpoint->has_inflight);
+  EXPECT_TRUE(report.version_refused);
+  EXPECT_EQ(report.corrupt_sections, 0);
+  EXPECT_EQ(report.generation, 0u) << "v1 header fields were parsed";
 
-  // Truncated v1 is still a detected failure, not UB.
-  const std::span<const std::uint8_t> truncated{bytes.data(),
-                                                bytes.size() - 9};
-  core::CheckpointLoadReport bad;
-  EXPECT_FALSE(core::DecodeCheckpoint(truncated, &bad).has_value());
-  EXPECT_GE(bad.corrupt_sections, 1);
+  // Through the store the refused file is quarantined like any other
+  // unreadable candidate, and the campaign starts fresh.
+  storage::MemEnv env;
+  ASSERT_TRUE(storage::AtomicWrite(env, kPath, bytes).ok());
+  core::CheckpointStore store{env, kPath, 3};
+  core::RecoveryEvents events;
+  EXPECT_FALSE(store.Load(0xfeed, events).has_value());
+  EXPECT_EQ(events.generations_discarded, 1u);
+  EXPECT_TRUE(env.Exists(std::string{kPath} + ".corrupt"));
 }
 
 }  // namespace

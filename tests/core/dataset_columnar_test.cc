@@ -286,12 +286,26 @@ TEST(DatasetColumnar, ParallelReanalysisCountsMatchTheV2Pipeline) {
   const auto dataset = DecodeDataset(v2);
   ASSERT_TRUE(dataset.has_value());
 
+  const auto reference = ReanalyzeDataset(*dataset, {}, 1);
   DiurnalCounts expect;
-  for (const auto& analysis : ReanalyzeDataset(*dataset, {}, 1)) {
+  for (const auto& analysis : reference) {
     ClassifyAnalysis(analysis, false, expect);
   }
   ASSERT_GT(expect.probed(), 0);
   ASSERT_GT(expect.strict + expect.relaxed, 0);
+
+  // The v2 path is itself worker-count independent, block for block.
+  const auto fanned = ReanalyzeDataset(*dataset, {}, 4);
+  ASSERT_EQ(fanned.size(), reference.size());
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    EXPECT_EQ(fanned[i].diurnal.classification,
+              reference[i].diurnal.classification) << "block " << i;
+    EXPECT_EQ(fanned[i].diurnal.daily_amplitude,
+              reference[i].diurnal.daily_amplitude) << "block " << i;
+    EXPECT_EQ(fanned[i].diurnal.strongest_bin,
+              reference[i].diurnal.strongest_bin) << "block " << i;
+    EXPECT_EQ(fanned[i].mean_short, reference[i].mean_short) << "block " << i;
+  }
 
   for (const int workers : {1, 4}) {
     const DiurnalCounts counts = ReanalyzeDatasetColumnar(view, {}, workers);

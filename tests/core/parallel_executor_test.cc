@@ -1,25 +1,33 @@
-// Determinism contract of the parallel sharded executor: an N-worker run
-// must be byte-identical to a single-worker run — datasets, checkpoints,
+// Determinism contract of the campaign engine: an N-worker run must be
+// byte-identical to a single-worker run — datasets, checkpoints,
 // resilience stats, and buffered telemetry — because workers only compute
 // per-block results and the coordinator commits them in block order.
-// DESIGN.md §9 states the argument; these tests enforce it.
+// DESIGN.md §9 states the argument; these tests enforce it, and pin the
+// engine to the output of the retired sequential supervisor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "sleepwalk/core/checkpoint.h"
 #include "sleepwalk/core/dataset.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/faults/faulty_transport.h"
+#include "sleepwalk/net/checksum.h"
 #include "sleepwalk/obs/context.h"
 #include "sleepwalk/obs/log.h"
 #include "sleepwalk/obs/metrics.h"
 #include "sleepwalk/obs/trace.h"
 #include "sleepwalk/sim/world.h"
+#include "sleepwalk/storage/bytes.h"
+#include "sleepwalk/storage/columnar.h"
+#include "sleepwalk/storage/file.h"
 
 namespace sleepwalk {
 namespace {
@@ -171,43 +179,59 @@ TEST(ParallelExecutor, WorkersOneVsEightByteIdentical) {
   }
 }
 
+/// FNV-1a over the encoded SLPW dataset and the supervisor-owned
+/// ResilienceStats counters (everything but probe accounting, which the
+/// retired sequential supervisor left to its caller).
+std::uint64_t OutcomeDigest(const core::CampaignOutcome& outcome,
+                            const core::SupervisorConfig& config) {
+  const auto dataset = core::EncodeDataset(
+      outcome.result.analyses, config.analyzer.schedule.round_seconds,
+      config.analyzer.schedule.epoch_sec);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const std::uint8_t*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  mix(dataset.data(), dataset.size());
+  const auto& stats = outcome.stats;
+  for (const std::uint64_t counter :
+       {stats.rounds_attempted, stats.rounds_failed, stats.rounds_gapped,
+        stats.retries, stats.forced_restarts, stats.quarantined_blocks}) {
+    mix(&counter, sizeof(counter));
+  }
+  mix(&stats.backoff_seconds, sizeof(stats.backoff_seconds));
+  return hash;
+}
+
+// OutcomeDigest of the retired sequential supervisor's run of this
+// campaign (TestWorld(), TestFaults, TestConfig, 220 rounds, one
+// FaultyTransport over site seed 9), recorded before that engine was
+// deleted. The engine that replaced it must reproduce it at any worker
+// count; a moved digest is a behaviour change to explain, not a constant
+// to re-pin.
+constexpr std::uint64_t kSequentialSupervisorDigest = 0x9c0cfd564d4e4bfcULL;
+
 TEST(ParallelExecutor, MatchesSequentialSupervisor) {
   const auto world = TestWorld();
   const auto plan = TestFaults(world);
   const auto config = TestConfig();
 
-  auto inner = world.MakeTransport(9);
-  faults::FaultyTransport sequential_chain{*inner, plan};
-  const auto sequential = core::RunResilientCampaign(
-      TargetsOf(world), sequential_chain, 220, config);
-
-  core::ParallelConfig parallel;
-  parallel.workers = 3;
-  const auto threaded = core::RunParallelCampaign(
-      TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
-
-  EXPECT_EQ(DatasetBytes(sequential, config, "seq"),
-            DatasetBytes(threaded, config, "par"));
-  ASSERT_EQ(sequential.quarantined.size(), threaded.quarantined.size());
-  // The sequential supervisor leaves stats.probes to the caller (it only
-  // sees a Transport&); compare the supervisor-owned counters and check
-  // probes against the sequential chain's own accounting.
-  EXPECT_EQ(sequential.stats.rounds_attempted,
-            threaded.stats.rounds_attempted);
-  EXPECT_EQ(sequential.stats.rounds_failed, threaded.stats.rounds_failed);
-  EXPECT_EQ(sequential.stats.rounds_gapped, threaded.stats.rounds_gapped);
-  EXPECT_EQ(sequential.stats.retries, threaded.stats.retries);
-  EXPECT_EQ(sequential.stats.backoff_seconds,
-            threaded.stats.backoff_seconds);
-  EXPECT_EQ(sequential.stats.forced_restarts,
-            threaded.stats.forced_restarts);
-  EXPECT_EQ(sequential.stats.quarantined_blocks,
-            threaded.stats.quarantined_blocks);
-  EXPECT_EQ(sequential_chain.accounting().attempts,
-            threaded.stats.probes.attempts);
-  EXPECT_EQ(sequential_chain.accounting().answered,
-            threaded.stats.probes.answered);
-  EXPECT_EQ(sequential_chain.accounting().lost, threaded.stats.probes.lost);
+  std::vector<core::CampaignOutcome> outcomes;
+  for (const int workers : {1, 3}) {
+    core::ParallelConfig parallel;
+    parallel.workers = workers;
+    outcomes.push_back(core::RunParallelCampaign(
+        TargetsOf(world), FactoryFor(world, plan), 220, config, parallel));
+    EXPECT_EQ(OutcomeDigest(outcomes.back(), config),
+              kSequentialSupervisorDigest)
+        << "at " << workers << " worker(s)";
+  }
+  ExpectStatsEqual(outcomes[0].stats, outcomes[1].stats);
+  EXPECT_GT(outcomes[0].stats.probes.attempts, 0u);
+  EXPECT_TRUE(outcomes[0].stats.probes.Balanced());
 }
 
 TEST(ParallelExecutor, TelemetryByteIdenticalAcrossWorkerCounts) {
@@ -301,38 +325,157 @@ TEST(ParallelExecutor, KillAndResumeAtEightWorkersIsByteIdentical) {
   std::remove(config.checkpoint_path.c_str());
 }
 
+// What the retired mid-block engine left in the INFLIGHT and TRANSPORT
+// slots: a set flag followed by opaque analyzer state, and a transport
+// snapshot. The current writers emit {0} and nothing.
+const std::vector<std::uint8_t> kRetiredInflight = {1, 0xde, 0xad, 0xbe, 0xef};
+const std::vector<std::uint8_t> kRetiredTransport = {42, 0, 0, 0, 0, 0, 0, 0};
+
+/// Re-frames an SLCK v2 file with the retired INFLIGHT (section 4) and
+/// TRANSPORT (section 5) payloads, CRCs recomputed; every other section
+/// and the header are kept byte for byte.
+std::vector<std::uint8_t> RetiredV2(std::span<const std::uint8_t> file) {
+  constexpr std::size_t kHeader = 4 + 24 + 4;  // magic, fields, CRC
+  storage::ByteWriter out;
+  out.PutBytes(file.first(kHeader));
+  storage::ByteReader in{file.subspan(kHeader)};
+  while (in.remaining() > 0) {
+    std::uint32_t id = 0;
+    std::uint64_t length = 0;
+    std::uint32_t crc = 0;
+    EXPECT_TRUE(in.Get(id) && in.Get(length) && in.Get(crc));
+    std::span<const std::uint8_t> payload = in.Rest().first(length);
+    in.Skip(length);
+    if (id == 4) payload = kRetiredInflight;
+    if (id == 5) payload = kRetiredTransport;
+    out.Put(id);
+    out.Put(static_cast<std::uint64_t>(payload.size()));
+    out.Put(net::Crc32cOf(payload));
+    out.PutBytes(payload);
+  }
+  return out.Take();
+}
+
+/// Rebuilds an SLCK v3 container through storage::ColumnarWriter with
+/// the retired INFLIGHT (column 3) and TRANSPORT (column 4) blobs.
+std::vector<std::uint8_t> RetiredV3(std::span<const std::uint8_t> file) {
+  storage::ColumnarReader reader;
+  EXPECT_TRUE(reader.Parse(file, "SLCK").ok());
+  storage::ColumnarWriter writer{"SLCK", reader.kind(), reader.fingerprint(),
+                                 reader.generation()};
+  for (const auto& column : reader.columns()) {
+    std::span<const std::uint8_t> bytes = column.bytes;
+    if (column.id == 3) bytes = kRetiredInflight;
+    if (column.id == 4) bytes = kRetiredTransport;
+    writer.Add(column.id, column.elem_width, bytes);
+  }
+  return writer.Finish();
+}
+
 TEST(ParallelExecutor, RefusesMidBlockSequentialCheckpoint) {
-  // A sequential run killed mid-block leaves a checkpoint with in-flight
-  // state; the parallel executor only understands block prefixes, so it
-  // must restart from scratch — and still converge on the same dataset.
+  // A file written by the retired mid-block engine still decodes (the
+  // layout is unchanged) and matches the campaign's fingerprint, but a
+  // block-granular resume of it would double-count the partial block:
+  // the engine must start fresh and still converge on the same dataset.
   const auto world = TestWorld(12);
   const auto plan = TestFaults(world);
-  auto config = TestConfig();
-  config.checkpoint_path = testing::TempDir() + "/pexec_midblock.ck";
-  std::remove(config.checkpoint_path.c_str());
-  config.checkpoint_every_rounds = 50;
-  config.stop_after_rounds = 330;  // mid-block at 220 rounds per block
-
-  auto inner = world.MakeTransport(9);
-  faults::FaultyTransport chain{*inner, plan};
-  const auto partial =
-      core::RunResilientCampaign(TargetsOf(world), chain, 220, config);
-  ASSERT_TRUE(partial.stopped_early);
-
-  config.stop_after_rounds = 0;
   core::ParallelConfig parallel;
   parallel.workers = 4;
-  const auto outcome = core::RunParallelCampaign(
-      TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
-  EXPECT_FALSE(outcome.resumed);
-
-  auto clean_config = TestConfig();
+  const auto clean_config = TestConfig();
   const auto reference = core::RunParallelCampaign(
       TargetsOf(world), FactoryFor(world, plan), 220, clean_config,
       parallel);
-  EXPECT_EQ(DatasetBytes(reference, clean_config, "mb_ref"),
-            DatasetBytes(outcome, config, "mb_out"));
-  std::remove(config.checkpoint_path.c_str());
+  const auto want = DatasetBytes(reference, clean_config, "retired_ref");
+
+  for (const std::uint32_t format :
+       {core::kCheckpointVersion, core::kCheckpointVersionColumnar}) {
+    SCOPED_TRACE("SLCK v" + std::to_string(format));
+    storage::MemEnv env;
+    auto config = TestConfig();
+    config.env = &env;
+    config.checkpoint_path = "/campaign/retired.ck";
+    config.checkpoint_format = format;
+    config.stop_after_rounds = 3 * 220;  // a three-block prefix
+    const auto partial = core::RunParallelCampaign(
+        TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
+    ASSERT_TRUE(partial.stopped_early);
+
+    std::vector<std::uint8_t> prefix;
+    ASSERT_TRUE(env.ReadAll(config.checkpoint_path, prefix).ok());
+    const auto retired = format == core::kCheckpointVersion
+                             ? RetiredV2(prefix)
+                             : RetiredV3(prefix);
+    core::CheckpointLoadReport report;
+    const auto decoded = core::DecodeCheckpoint(retired, &report);
+    ASSERT_TRUE(decoded.has_value()) << report.detail;
+    EXPECT_EQ(report.version, format);
+    EXPECT_TRUE(decoded->has_inflight);
+    EXPECT_EQ(decoded->transport_state, kRetiredTransport);
+    EXPECT_EQ(decoded->next_block, 3u);
+    ASSERT_TRUE(
+        storage::AtomicWrite(env, config.checkpoint_path, retired).ok());
+
+    config.stop_after_rounds = 0;
+    const auto outcome = core::RunParallelCampaign(
+        TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
+    EXPECT_FALSE(outcome.resumed);
+    EXPECT_EQ(DatasetBytes(outcome, config, "retired_out"), want);
+  }
+}
+
+TEST(ParallelExecutor, HeartbeatCheckpointEtaIsZeroExactlyOnWrites) {
+  // rounds_to_checkpoint counts down to the checkpoint_every_blocks
+  // boundaries the engine actually writes at (plus completion), in whole
+  // blocks of rounds, and reaches 0 on exactly the commits that wrote.
+  const auto world = TestWorld(12);
+  const auto plan = TestFaults(world);
+  storage::MemEnv env;
+  obs::Registry registry;
+  auto config = TestConfig();
+  config.env = &env;
+  config.checkpoint_path = "/campaign/eta.ck";
+  config.checkpoint_every_blocks = 5;
+  config.obs.metrics = &registry;
+
+  std::vector<std::int64_t> etas;
+  std::vector<bool> wrote;
+  double written_before = 0.0;
+  config.progress = [&](const core::CampaignProgress& progress) {
+    const auto* written =
+        registry.counter("supervisor_checkpoints_written_total");
+    const double written_now = written != nullptr ? written->value() : 0.0;
+    wrote.push_back(written_now > written_before);
+    written_before = written_now;
+    etas.push_back(progress.rounds_to_checkpoint);
+  };
+  core::ParallelConfig parallel;
+  parallel.workers = 3;
+  const auto outcome = core::RunParallelCampaign(
+      TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
+
+  const std::size_t n = outcome.result.analyses.size();
+  ASSERT_EQ(etas.size(), n);
+  ASSERT_GT(n, 5u);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t next = std::min((i / 5 + 1) * 5, n);
+    EXPECT_EQ(etas[i], static_cast<std::int64_t>((next - (i + 1)) * 220))
+        << "after block " << i;
+    EXPECT_EQ(etas[i] == 0, wrote[i]) << "after block " << i;
+  }
+  EXPECT_EQ(static_cast<std::uint64_t>(
+                std::count(wrote.begin(), wrote.end(), true)),
+            outcome.stats.checkpoints_written);
+
+  // Without a checkpoint path there is nothing to count down to.
+  auto unchecked = TestConfig();
+  std::vector<std::int64_t> unchecked_etas;
+  unchecked.progress = [&](const core::CampaignProgress& progress) {
+    unchecked_etas.push_back(progress.rounds_to_checkpoint);
+  };
+  core::RunParallelCampaign(TargetsOf(world), FactoryFor(world, plan), 220,
+                            unchecked, parallel);
+  ASSERT_EQ(unchecked_etas.size(), n);
+  for (const auto eta : unchecked_etas) EXPECT_EQ(eta, -1);
 }
 
 TEST(ParallelExecutor, MoreWorkersThanBlocksIsClamped) {

@@ -1,6 +1,6 @@
 // The columnar analysis sweep (core/store_analyzer.h): for identical
 // recorded samples, the verdict columns AnalyzeStore writes must be
-// bitwise identical to the scalar BlockAnalyzer::Finish output
+// bitwise identical to the scalar BlockAnalyzer::Finish pipeline
 // projected through VerdictOf — including after the series ring has
 // wrapped, at any worker count. The Goertzel screen mode may only ever
 // downgrade a verdict to non-diurnal, never invent a diurnal one.
@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "sleepwalk/core/availability.h"
@@ -16,14 +17,18 @@
 #include "sleepwalk/core/campaign_ledger.h"
 #include "sleepwalk/core/store_analyzer.h"
 #include "sleepwalk/core/store_campaign.h"
+#include "sleepwalk/probing/scheduler.h"
+#include "sleepwalk/sim/world.h"
+#include "sleepwalk/ts/clean.h"
+#include "sleepwalk/ts/stationarity.h"
 
 namespace sleepwalk {
 namespace {
 
 using core::AnalyzerConfig;
 using core::AvailabilityEstimator;
+using core::BlockAnalysis;
 using core::BlockAnalyzer;
-using core::BlockAnalyzerState;
 using core::BlockStore;
 using core::BlockVerdict;
 using core::RoundSample;
@@ -33,18 +38,64 @@ using core::SyntheticInitialAvailability;
 using core::SyntheticRoundSample;
 using core::VerdictOf;
 
+/// The scalar reference: BlockAnalyzer::Finish's stages, step for step,
+/// over one block's recorded rounds — accounting from the totals, then
+/// regularize, trim to midnight, stationarity and FFT classification of
+/// `raw`. ScalarReferenceMatchesBlockAnalyzerFinish pins it to Finish.
+BlockAnalysis ScalarFinish(net::Prefix24 block, int ever_active,
+                           std::span<const ts::Observation> raw,
+                           double final_operational,
+                           std::int64_t total_probes,
+                           std::int64_t rounds_run, int down_rounds,
+                           const AnalyzerConfig& config = {}) {
+  BlockAnalysis out;
+  out.block = block;
+  out.ever_active = ever_active;
+  out.probed = ever_active > 0 && ever_active >= config.min_ever_active &&
+               rounds_run > 0;
+  if (!out.probed) return out;
+  out.final_operational = final_operational;
+  out.mean_probes_per_round =
+      static_cast<double>(total_probes) / static_cast<double>(rounds_run);
+  out.down_rounds = down_rounds;
+
+  core::AnalysisScratch scratch;
+  ts::RawSeries series;
+  for (const auto& observation : raw) {
+    series.Add(observation.round, observation.value);
+  }
+  if (!ts::Regularize(series, scratch.regularize, scratch.even) ||
+      !ts::TrimToMidnightUtc(scratch.even, config.schedule.epoch_sec,
+                             config.schedule.round_seconds,
+                             out.short_series)) {
+    return out;
+  }
+  out.observed_days = ts::WholeDays(out.short_series.size(),
+                                    config.schedule.round_seconds);
+  out.mean_short = std::accumulate(out.short_series.values.begin(),
+                                   out.short_series.values.end(), 0.0) /
+                   static_cast<double>(out.short_series.values.size());
+  out.stationarity = ts::TestStationarity(
+      out.short_series.values, ever_active,
+      config.max_trend_addresses_per_day, config.schedule.round_seconds,
+      scratch.index);
+  out.diurnal = core::ClassifyDiurnal(out.short_series.values,
+                                      out.observed_days, config.diurnal,
+                                      nullptr, scratch);
+  return out;
+}
+
 // Drives `store` (already Reset with a series capacity) and returns,
-// per block, the scalar BlockAnalyzer that saw the exact same samples:
+// per block, the scalar reference analysis of the exact same samples:
 // estimator trajectory from the scalar AvailabilityEstimator, raw
 // series limited to what the ring retained (the newest `capacity`
 // samples), probe/down accounting over the full run.
-std::vector<BlockAnalyzer> DriveBoth(BlockStore& store, std::size_t n_blocks,
+std::vector<BlockAnalysis> DriveBoth(BlockStore& store, std::size_t n_blocks,
                                      std::int64_t n_rounds,
                                      std::int32_t capacity,
                                      std::uint64_t seed) {
-  std::vector<BlockAnalyzer> scalars;
   std::vector<AvailabilityEstimator> estimators;
-  scalars.reserve(n_blocks);
+  std::vector<std::int32_t> ever_active(n_blocks);
   estimators.reserve(n_blocks);
   std::vector<std::vector<ts::Observation>> raw(n_blocks);
   std::vector<std::int64_t> total_probes(n_blocks, 0);
@@ -53,14 +104,10 @@ std::vector<BlockAnalyzer> DriveBoth(BlockStore& store, std::size_t n_blocks,
   for (std::size_t i = 0; i < n_blocks; ++i) {
     const auto prefix = static_cast<std::uint32_t>(i);
     const double prior = SyntheticInitialAvailability(seed, prefix);
-    const std::int32_t active = SyntheticEverActive(seed, prefix);
+    ever_active[i] = SyntheticEverActive(seed, prefix);
     store.SeedBlock(i, prefix, prior);
-    store.SetEverActive(i, active);
+    store.SetEverActive(i, ever_active[i]);
     estimators.emplace_back(prior, store.config());
-    std::vector<std::uint8_t> octets(static_cast<std::size_t>(active));
-    std::iota(octets.begin(), octets.end(), std::uint8_t{1});
-    scalars.emplace_back(net::Prefix24::FromIndex(prefix), std::move(octets),
-                         prior, seed, AnalyzerConfig{});
   }
 
   std::vector<RoundSample> round(n_blocks);
@@ -77,30 +124,27 @@ std::vector<BlockAnalyzer> DriveBoth(BlockStore& store, std::size_t n_blocks,
     store.RecordSeriesRound(0, n_blocks, r);
   }
 
+  std::vector<BlockAnalysis> expected;
+  expected.reserve(n_blocks);
   for (std::size_t i = 0; i < n_blocks; ++i) {
-    BlockAnalyzerState state;
-    state.estimator = estimators[i].ExportState();
     // The ring holds the newest `capacity` samples; the scalar
     // reference analyzes exactly that window.
     const std::size_t keep =
         std::min(raw[i].size(), static_cast<std::size_t>(capacity));
-    state.raw.assign(raw[i].end() - static_cast<std::ptrdiff_t>(keep),
-                     raw[i].end());
-    state.total_probes = total_probes[i];
-    state.rounds_run = n_rounds;
-    state.down_rounds = down_rounds[i];
-    scalars[i].RestoreState(std::move(state));
+    expected.push_back(ScalarFinish(
+        net::Prefix24::FromIndex(static_cast<std::uint32_t>(i)),
+        ever_active[i],
+        std::span<const ts::Observation>{raw[i]}.last(keep),
+        estimators[i].Operational(), total_probes[i], n_rounds,
+        down_rounds[i]));
   }
-  return scalars;
+  return expected;
 }
 
 void ExpectVerdictColumnsMatch(const BlockStore& store,
-                               std::vector<BlockAnalyzer>& scalars) {
-  core::AnalysisScratch scratch;
-  core::BlockAnalysis analysis;
-  for (std::size_t i = 0; i < scalars.size(); ++i) {
-    scalars[i].Finish(scratch, analysis);
-    const BlockVerdict expect = VerdictOf(analysis, false);
+                               const std::vector<BlockAnalysis>& expected) {
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const BlockVerdict expect = VerdictOf(expected[i], false);
     EXPECT_EQ(store.prefix_index()[i], expect.prefix_index) << "block " << i;
     EXPECT_EQ((store.flags()[i] & core::kBlockFlagProbed) != 0, expect.probed)
         << "block " << i;
@@ -121,21 +165,63 @@ void ExpectVerdictColumnsMatch(const BlockStore& store,
   }
 }
 
+TEST(StoreAnalyzer, ScalarReferenceMatchesBlockAnalyzerFinish) {
+  // The reference above must be Finish itself, not an approximation:
+  // replay a real probed block's recorded rounds through it and demand
+  // the same analysis to the bit.
+  sim::WorldConfig world_config;
+  world_config.total_blocks = 6;
+  world_config.seed = 0x5ca1a;
+  const auto world = sim::SimWorld::Generate(world_config);
+  const AnalyzerConfig config;
+  const probing::RoundScheduler scheduler{config.schedule};
+  auto transport = world.MakeTransport(3);
+  int compared = 0;
+  for (const auto& block : world.blocks()) {
+    BlockAnalyzer analyzer{block.spec.block,
+                           sim::EverActiveOctets(block.spec),
+                           sim::TrueAvailability(block.spec, 13 * 3600),
+                           0x9e37, config};
+    analyzer.RunCampaign(*transport, scheduler.RoundsForDays(3));
+    const BlockAnalysis finished = analyzer.Finish();
+    if (!finished.probed) continue;
+    const BlockAnalysis reference = ScalarFinish(
+        block.spec.block, finished.ever_active,
+        analyzer.raw_series().observations(),
+        analyzer.estimator().Operational(),
+        /*total_probes=*/0, analyzer.rounds_run(), finished.down_rounds);
+    EXPECT_EQ(reference.short_series.values, finished.short_series.values);
+    EXPECT_EQ(reference.observed_days, finished.observed_days);
+    EXPECT_EQ(reference.mean_short, finished.mean_short);
+    EXPECT_EQ(reference.final_operational, finished.final_operational);
+    EXPECT_EQ(reference.stationarity.stationary,
+              finished.stationarity.stationary);
+    EXPECT_EQ(reference.stationarity.slope_per_round,
+              finished.stationarity.slope_per_round);
+    EXPECT_EQ(reference.diurnal.classification,
+              finished.diurnal.classification);
+    EXPECT_EQ(reference.diurnal.daily_amplitude,
+              finished.diurnal.daily_amplitude);
+    ++compared;
+  }
+  EXPECT_GT(compared, 0);
+}
+
 TEST(StoreAnalyzer, SweepMatchesScalarFinishBitwise) {
   // 280 rounds fit in a 300-slot ring: the sweep sees every sample the
-  // scalar analyzer recorded, so every verdict column must agree to
+  // scalar reference analyzes, so every verdict column must agree to
   // the bit.
   constexpr std::size_t kBlocks = 32;
   constexpr std::int32_t kCapacity = 300;
   BlockStore store;
   store.Reset(kBlocks, {}, kCapacity);
-  auto scalars = DriveBoth(store, kBlocks, 280, kCapacity, 0x5eed);
+  const auto expected = DriveBoth(store, kBlocks, 280, kCapacity, 0x5eed);
 
   const auto stats = core::AnalyzeStore(store, StoreAnalyzerConfig{}, 1);
   EXPECT_EQ(stats.analyzed, kBlocks);
   EXPECT_EQ(stats.classified, kBlocks);
   EXPECT_EQ(stats.screened_out, 0u);
-  ExpectVerdictColumnsMatch(store, scalars);
+  ExpectVerdictColumnsMatch(store, expected);
 }
 
 TEST(StoreAnalyzer, WraparoundSweepEqualsScalarOverTheRetainedWindow) {
@@ -147,11 +233,11 @@ TEST(StoreAnalyzer, WraparoundSweepEqualsScalarOverTheRetainedWindow) {
   constexpr std::int32_t kCapacity = 300;
   BlockStore store;
   store.Reset(kBlocks, {}, kCapacity);
-  auto scalars = DriveBoth(store, kBlocks, 400, kCapacity, 0x1196);
+  const auto expected = DriveBoth(store, kBlocks, 400, kCapacity, 0x1196);
 
   const auto stats = core::AnalyzeStore(store, StoreAnalyzerConfig{}, 1);
   EXPECT_EQ(stats.analyzed, kBlocks);
-  ExpectVerdictColumnsMatch(store, scalars);
+  ExpectVerdictColumnsMatch(store, expected);
 }
 
 TEST(StoreAnalyzer, RingWraparoundKeepsTheNewestSamplesInOrder) {

@@ -166,25 +166,6 @@ TEST(FaultyTransport, DeterministicAcrossInstances) {
   }
 }
 
-TEST(FaultyTransport, SaveRestoreRoundTripsAccounting) {
-  AlwaysUpTransport inner;
-  FaultPlan plan;
-  plan.iid_loss = 0.25;
-  FaultyTransport transport{inner, plan};
-  for (int i = 0; i < 500; ++i) {
-    transport.Probe(AddressIn(1, static_cast<std::uint8_t>(i % 100)), i);
-  }
-  std::vector<std::uint8_t> bytes;
-  transport.SaveState(bytes);
-
-  AlwaysUpTransport inner_b;
-  FaultyTransport restored{inner_b, plan};
-  ASSERT_TRUE(restored.RestoreState(bytes));
-  EXPECT_EQ(restored.accounting().attempts, transport.accounting().attempts);
-  EXPECT_EQ(restored.accounting().lost, transport.accounting().lost);
-  EXPECT_FALSE(restored.RestoreState(std::span<const std::uint8_t>{}));
-}
-
 // The ISSUE's controlled experiment: a clean strictly-diurnal block must
 // keep its strict verdict under moderate bursty loss — the adaptive
 // prober absorbs the drops (§2.1), it does not hallucinate outages.

@@ -1,13 +1,18 @@
-// Resilient supervisor: retry/backoff, quarantine, gap windows, forced
-// restarts, and the resilience report.
+// Campaign supervision policy (core/supervisor.h) as the campaign engine
+// runs it at one worker over one transport: retry/backoff, quarantine,
+// gap windows, forced restarts, and the resilience report.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sleepwalk/core/checkpoint.h"
+#include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/faults/faulty_transport.h"
 #include "sleepwalk/report/resilience.h"
@@ -32,8 +37,24 @@ sim::SimWorld SmallWorld(std::uint64_t seed = 0xfab1e) {
   return sim::SimWorld::Generate(config);
 }
 
+/// The campaign engine at one worker, probing through `transport`.
+core::CampaignOutcome RunOnTransport(std::vector<core::BlockTarget> targets,
+                                     net::Transport& transport,
+                                     std::int64_t n_rounds,
+                                     const core::SupervisorConfig& config) {
+  core::ParallelConfig parallel;
+  parallel.workers = 1;
+  return core::RunParallelCampaign(
+      std::move(targets),
+      [&transport](std::size_t) {
+        return std::make_unique<core::PlainShardChain>(transport);
+      },
+      n_rounds, config, parallel);
+}
+
 /// Throws on the first `failures_per_round` probes of every round instant,
-/// then behaves; exercises the retry path without a FaultPlan.
+/// then behaves; exercises the retry path without a FaultPlan. Remembers
+/// the last probed block so a retry delay can be attributed to it.
 class FlakyTransport final : public net::Transport {
  public:
   FlakyTransport(net::Transport& inner, int failures_per_instant)
@@ -41,6 +62,7 @@ class FlakyTransport final : public net::Transport {
 
   net::ProbeStatus Probe(net::Ipv4Addr target,
                          std::int64_t when_sec) override {
+    last_block_ = net::Prefix24{target}.Index();
     if (when_sec != current_when_) {
       current_when_ = when_sec;
       failures_so_far_ = 0;
@@ -52,9 +74,12 @@ class FlakyTransport final : public net::Transport {
     return inner_.Probe(target, when_sec);
   }
 
+  std::uint32_t last_block() const noexcept { return last_block_; }
+
  private:
   net::Transport& inner_;
   int failures_per_instant_;
+  std::uint32_t last_block_ = 0;
   std::int64_t current_when_ = -1;
   int failures_so_far_ = 0;
 };
@@ -66,8 +91,8 @@ TEST(Supervisor, MatchesPlainCampaignOnCleanTransport) {
   const auto plain = core::RunCampaign(TargetsOf(world), *transport_a, 200,
                                        config.analyzer, config.seed);
   auto transport_b = world.MakeTransport(3);
-  const auto outcome = core::RunResilientCampaign(TargetsOf(world),
-                                                  *transport_b, 200, config);
+  const auto outcome =
+      RunOnTransport(TargetsOf(world), *transport_b, 200, config);
   ASSERT_EQ(plain.analyses.size(), outcome.result.analyses.size());
   EXPECT_EQ(plain.counts.strict, outcome.result.counts.strict);
   EXPECT_EQ(plain.counts.skipped, outcome.result.counts.skipped);
@@ -86,22 +111,33 @@ TEST(Supervisor, RetriesRecoverFromTransientErrors) {
   auto inner = world.MakeTransport(3);
   FlakyTransport flaky{*inner, 1};  // first probe of every round throws
   core::SupervisorConfig config;
-  std::vector<double> delays;
-  config.sleeper = [&delays](double d) { delays.push_back(d); };
-  const auto outcome =
-      core::RunResilientCampaign(TargetsOf(world), flaky, 50, config);
+  std::vector<std::pair<std::uint32_t, double>> delays;  // (block, delay)
+  config.sleeper = [&delays, &flaky](double d) {
+    delays.emplace_back(flaky.last_block(), d);
+  };
+  const auto outcome = RunOnTransport(TargetsOf(world), flaky, 50, config);
   EXPECT_GT(outcome.stats.retries, 0u);
   EXPECT_EQ(outcome.stats.rounds_failed, 0u);
   EXPECT_TRUE(outcome.quarantined.empty());
   EXPECT_EQ(delays.size(), outcome.stats.retries);
+  // The engine sums each block's delays into a private delta and folds
+  // the deltas in block order; adding them up the same way must match
+  // to the bit.
   double sum = 0.0;
+  double block_sum = 0.0;
   const double cap = config.retry.max_delay_sec * (1.0 + config.retry.jitter);
-  for (const double delay : delays) {
+  for (std::size_t i = 0; i < delays.size(); ++i) {
+    const auto [block, delay] = delays[i];
     EXPECT_GE(delay, 0.0);
     EXPECT_LE(delay, cap);
-    sum += delay;
+    if (i > 0 && block != delays[i - 1].first) {
+      sum += block_sum;
+      block_sum = 0.0;
+    }
+    block_sum += delay;
   }
-  EXPECT_DOUBLE_EQ(sum, outcome.stats.backoff_seconds);
+  sum += block_sum;
+  EXPECT_EQ(sum, outcome.stats.backoff_seconds);
 }
 
 TEST(Supervisor, QuarantinesPersistentlyFailingBlocksOnly) {
@@ -121,7 +157,7 @@ TEST(Supervisor, QuarantinesPersistentlyFailingBlocksOnly) {
   core::SupervisorConfig config;
   config.forced_restart_rounds = {20, 40};  // two prober restarts
   const auto outcome =
-      core::RunResilientCampaign(std::move(targets), transport, 60, config);
+      RunOnTransport(std::move(targets), transport, 60, config);
 
   // The campaign finished: one analysis per target, despite >=20% bursty
   // loss and two restarts; only the dead block was quarantined.
@@ -149,7 +185,7 @@ TEST(Supervisor, GapWindowsSkipRoundsButKeepAnalyses) {
   core::SupervisorConfig config;
   config.gap_round_windows = {{10, 20}};
   const auto outcome =
-      core::RunResilientCampaign(TargetsOf(world), *transport, 400, config);
+      RunOnTransport(TargetsOf(world), *transport, 400, config);
   // 10 gap rounds per block.
   EXPECT_EQ(outcome.stats.rounds_gapped, 10u * world.blocks().size());
   ASSERT_EQ(outcome.result.analyses.size(), world.blocks().size());
@@ -171,16 +207,14 @@ TEST(Supervisor, CheckpointedCampaignIsIdempotentOnResume) {
   core::SupervisorConfig config;
   config.checkpoint_path = path;
   auto transport = world.MakeTransport(3);
-  auto first = core::RunResilientCampaign(TargetsOf(world), *transport, 40,
-                                          config);
+  auto first = RunOnTransport(TargetsOf(world), *transport, 40, config);
   ASSERT_FALSE(first.stopped_early);
   ASSERT_GT(first.stats.checkpoints_written, 0u);
 
   // A finished campaign resumed from its own final checkpoint is
   // idempotent: nothing re-runs, the stored result comes back.
   auto transport_b = world.MakeTransport(3);
-  auto resumed = core::RunResilientCampaign(TargetsOf(world), *transport_b,
-                                            40, config);
+  auto resumed = RunOnTransport(TargetsOf(world), *transport_b, 40, config);
   EXPECT_TRUE(resumed.resumed);
   ASSERT_EQ(resumed.result.analyses.size(), first.result.analyses.size());
   for (std::size_t i = 0; i < first.result.analyses.size(); ++i) {
@@ -200,13 +234,13 @@ TEST(Supervisor, MismatchedFingerprintRefusesResume) {
   config.checkpoint_path = path;
   auto transport = world.MakeTransport(3);
   const auto first =
-      core::RunResilientCampaign(TargetsOf(world), *transport, 30, config);
+      RunOnTransport(TargetsOf(world), *transport, 30, config);
   ASSERT_FALSE(first.resumed);
 
   // Different round count => different campaign => fresh start.
   auto transport_b = world.MakeTransport(3);
-  const auto second = core::RunResilientCampaign(TargetsOf(world),
-                                                 *transport_b, 31, config);
+  const auto second =
+      RunOnTransport(TargetsOf(world), *transport_b, 31, config);
   EXPECT_FALSE(second.resumed);
   std::remove(path.c_str());
 }

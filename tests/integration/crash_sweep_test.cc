@@ -4,8 +4,8 @@
 // thrown util::CrashInjected, caught here like a power cut — at each of
 // those operations in turn, restarts on the same "disk", and requires
 // the resumed campaign to converge on byte-identical artifacts: the
-// primary checkpoint file and the encoded dataset. Runs at 1 worker
-// (RunResilientCampaign) and 8 workers (RunParallelCampaign).
+// primary checkpoint file and the encoded dataset. Runs the campaign
+// engine (RunParallelCampaign) at 1 worker and at 8 workers.
 //
 // A second matrix injects non-fatal I/O failures (EIO, ENOSPC, short
 // write): saves fail and are logged, but the campaign completes and the
@@ -75,22 +75,25 @@ class OwningSimChain final : public core::ShardChain {
   std::unique_ptr<sim::SimTransport> transport_;
 };
 
-core::CampaignOutcome RunSequential(const sim::SimWorld& world,
-                                    storage::Env& env, std::uint32_t format) {
-  auto transport = world.MakeTransport(5);
-  return core::RunResilientCampaign(TargetsOf(world), *transport, kRounds,
-                                    ConfigFor(env, format));
-}
-
-core::CampaignOutcome RunParallel(const sim::SimWorld& world,
-                                  storage::Env& env, std::uint32_t format) {
+core::CampaignOutcome RunWorkers(int workers, const sim::SimWorld& world,
+                                 storage::Env& env, std::uint32_t format) {
   core::ParallelConfig parallel;
-  parallel.workers = 8;
+  parallel.workers = workers;
   const core::ShardFactory factory = [&world](std::size_t) {
     return std::make_unique<OwningSimChain>(world, 5);
   };
   return core::RunParallelCampaign(TargetsOf(world), factory, kRounds,
                                    ConfigFor(env, format), parallel);
+}
+
+core::CampaignOutcome RunSingle(const sim::SimWorld& world,
+                                storage::Env& env, std::uint32_t format) {
+  return RunWorkers(1, world, env, format);
+}
+
+core::CampaignOutcome RunParallel(const sim::SimWorld& world,
+                                  storage::Env& env, std::uint32_t format) {
+  return RunWorkers(8, world, env, format);
 }
 
 using Runner = std::function<core::CampaignOutcome(
@@ -160,7 +163,7 @@ void CrashSweep(const Runner& run, std::uint32_t format) {
 }
 
 TEST(CrashSweep, EveryStorageOpSingleWorker) {
-  CrashSweep(RunSequential, core::kCheckpointVersion);
+  CrashSweep(RunSingle, core::kCheckpointVersion);
 }
 
 TEST(CrashSweep, EveryStorageOpEightWorkers) {
@@ -168,7 +171,7 @@ TEST(CrashSweep, EveryStorageOpEightWorkers) {
 }
 
 TEST(CrashSweep, EveryStorageOpSingleWorkerColumnar) {
-  CrashSweep(RunSequential, core::kCheckpointVersionColumnar);
+  CrashSweep(RunSingle, core::kCheckpointVersionColumnar);
 }
 
 TEST(CrashSweep, EveryStorageOpEightWorkersColumnar) {
@@ -216,7 +219,7 @@ void ErrorMatrix(const Runner& run, std::uint32_t format) {
 }
 
 TEST(CrashSweep, IoErrorMatrixSingleWorker) {
-  ErrorMatrix(RunSequential, core::kCheckpointVersion);
+  ErrorMatrix(RunSingle, core::kCheckpointVersion);
 }
 
 TEST(CrashSweep, IoErrorMatrixEightWorkers) {
@@ -224,7 +227,7 @@ TEST(CrashSweep, IoErrorMatrixEightWorkers) {
 }
 
 TEST(CrashSweep, IoErrorMatrixSingleWorkerColumnar) {
-  ErrorMatrix(RunSequential, core::kCheckpointVersionColumnar);
+  ErrorMatrix(RunSingle, core::kCheckpointVersionColumnar);
 }
 
 }  // namespace

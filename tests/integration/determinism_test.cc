@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
+#include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/pipeline.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/faults/faulty_transport.h"
@@ -93,6 +95,21 @@ std::vector<core::BlockTarget> TargetsOf(const sim::SimWorld& world) {
   return targets;
 }
 
+/// The campaign engine at one worker, probing through `transport`.
+core::CampaignOutcome RunOnTransport(std::vector<core::BlockTarget> targets,
+                                     net::Transport& transport,
+                                     std::int64_t n_rounds,
+                                     const core::SupervisorConfig& config) {
+  core::ParallelConfig parallel;
+  parallel.workers = 1;
+  return core::RunParallelCampaign(
+      std::move(targets),
+      [&transport](std::size_t) {
+        return std::make_unique<core::PlainShardChain>(transport);
+      },
+      n_rounds, config, parallel);
+}
+
 faults::FaultPlan ResilienceFaults(const sim::SimWorld& world) {
   faults::FaultPlan plan;
   plan.iid_loss = 0.05;
@@ -140,17 +157,17 @@ TEST(Determinism, KilledAndResumedCampaignIsBitIdentical) {
   // Uninterrupted reference run.
   auto inner_ref = world.MakeTransport(9);
   faults::FaultyTransport transport_ref{*inner_ref, ResilienceFaults(world)};
-  const auto reference = core::RunResilientCampaign(
-      TargetsOf(world), transport_ref, n_rounds, ResilienceConfig());
+  const auto reference = RunOnTransport(TargetsOf(world), transport_ref,
+                                        n_rounds, ResilienceConfig());
 
-  // The same campaign, killed twice mid-flight. Each slice constructs a
-  // fresh transport, as a restarted process would; the checkpoint's
-  // transport snapshot restores the probe stream.
+  // The same campaign, killed twice mid-flight at block boundaries. Each
+  // slice constructs a fresh transport, as a restarted process would;
+  // probe draws are keyed, not sequenced, so the resumed blocks replay
+  // the uninterrupted probe stream without any transport snapshot.
   const std::string path = testing::TempDir() + "/sleepwalk_kill_resume.ck";
   std::remove(path.c_str());
   auto config = ResilienceConfig();
   config.checkpoint_path = path;
-  config.checkpoint_every_rounds = 500;
   config.stop_after_rounds = 3500;  // 30 blocks x 300 rounds = 9000 total
 
   core::CampaignOutcome outcome;
@@ -158,8 +175,7 @@ TEST(Determinism, KilledAndResumedCampaignIsBitIdentical) {
   do {
     auto inner = world.MakeTransport(9);
     faults::FaultyTransport transport{*inner, ResilienceFaults(world)};
-    outcome = core::RunResilientCampaign(TargetsOf(world), transport,
-                                         n_rounds, config);
+    outcome = RunOnTransport(TargetsOf(world), transport, n_rounds, config);
     ++slices;
     ASSERT_LE(slices, 10) << "campaign did not converge";
   } while (outcome.stopped_early);
@@ -186,8 +202,8 @@ int ArtifactBlockCount(const sim::SimWorld& world, std::int64_t every) {
     config.forced_restart_rounds = faults::PeriodicRestarts(every, n_rounds);
   }
   auto transport = world.MakeTransport(0xab1a7);
-  const auto outcome = core::RunResilientCampaign(
-      TargetsOf(world), *transport, n_rounds, config);
+  const auto outcome =
+      RunOnTransport(TargetsOf(world), *transport, n_rounds, config);
   int in_band = 0;
   for (const auto& analysis : outcome.result.analyses) {
     if (!analysis.probed || analysis.observed_days < 2) continue;

@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/status.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/faults/faulty_transport.h"
@@ -73,8 +75,63 @@ core::SupervisorConfig ObsConfig(const std::string& checkpoint_path) {
   config.forced_restart_rounds = {60};
   config.gap_round_windows = {{100, 104}};
   config.checkpoint_path = checkpoint_path;
-  config.checkpoint_every_rounds = 700;
   return config;
+}
+
+/// A worker's transport chain: the fault stack over the simulated world.
+/// The campaign engine calls AttachObs once per block, pointing the
+/// FaultyTransport's instruments at that block's buffered sinks.
+class FaultyChain final : public core::ShardChain {
+ public:
+  explicit FaultyChain(const sim::SimWorld& world)
+      : inner_{world.MakeTransport(17)},
+        transport_{*inner_, ObsFaults(world)} {}
+
+  net::Transport& transport() override { return transport_; }
+  void AttachObs(const obs::Context& context) override {
+    transport_.AttachObs(context);
+  }
+  report::ProbeAccounting accounting() const override {
+    return transport_.accounting();
+  }
+
+ private:
+  std::unique_ptr<sim::SimTransport> inner_;
+  faults::FaultyTransport transport_;
+};
+
+/// The same over a clean stack, counted by the InstrumentedTransport
+/// decorator instead of the fault layer.
+class InstrumentedChain final : public core::ShardChain {
+ public:
+  explicit InstrumentedChain(const sim::SimWorld& world)
+      : inner_{world.MakeTransport(17)},
+        transport_{*inner_, obs::Context{}} {}
+
+  net::Transport& transport() override { return transport_; }
+  void AttachObs(const obs::Context& context) override {
+    transport_.AttachObs(context);
+  }
+  report::ProbeAccounting accounting() const override {
+    return transport_.accounting();
+  }
+
+ private:
+  std::unique_ptr<sim::SimTransport> inner_;
+  net::InstrumentedTransport transport_;
+};
+
+/// The campaign engine at one worker over `Chain`s built from `world`.
+template <typename Chain>
+core::CampaignOutcome RunOnChain(const sim::SimWorld& world,
+                                 std::int64_t n_rounds,
+                                 const core::SupervisorConfig& config) {
+  core::ParallelConfig parallel;
+  parallel.workers = 1;
+  return core::RunParallelCampaign(
+      TargetsOf(world),
+      [&world](std::size_t) { return std::make_unique<Chain>(world); },
+      n_rounds, config, parallel);
 }
 
 /// All sinks for one instrumented run, accumulated in memory.
@@ -108,16 +165,11 @@ core::CampaignOutcome RunObsCampaign(const std::string& checkpoint_path,
                                      const obs::Context& context,
                                      core::StatusHub* status = nullptr) {
   const auto world = ObsWorld();
-  auto inner = world.MakeTransport(17);
-  faults::FaultyTransport transport{*inner, ObsFaults(world)};
-  transport.AttachObs(context);
   auto config = ObsConfig(checkpoint_path);
   config.obs = context;
   config.status = status;
-  auto outcome =
-      core::RunResilientCampaign(TargetsOf(world), transport, 180, config);
-  outcome.stats.probes.Merge(transport.accounting());
-  return outcome;
+  // The engine folds each block's accounting() delta into stats.probes.
+  return RunOnChain<FaultyChain>(world, 180, config);
 }
 
 std::string FileBytes(const std::string& path) {
@@ -356,16 +408,12 @@ TEST(ObsReconciliation, InstrumentedTransportCountsCleanStacks) {
   // same probe accounting; rate_limited stays 0 behind it (a limiter
   // drop is indistinguishable from loss at that vantage).
   const auto world = ObsWorld();
-  auto inner = world.MakeTransport(17);
   Sinks sinks;
-  const auto context = sinks.Context();
-  net::InstrumentedTransport transport{*inner, context};
   core::SupervisorConfig config;
-  config.obs = context;
-  const auto outcome =
-      core::RunResilientCampaign(TargetsOf(world), transport, 120, config);
+  config.obs = sinks.Context();
+  const auto outcome = RunOnChain<InstrumentedChain>(world, 120, config);
 
-  const auto& probes = transport.accounting();
+  const auto& probes = outcome.stats.probes;
   EXPECT_TRUE(probes.Balanced());
   EXPECT_GT(probes.attempts, 0u);
   EXPECT_EQ(probes.rate_limited, 0u);

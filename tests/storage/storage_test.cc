@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -107,6 +108,11 @@ struct AtomicWriteFailCase {
   int err;              // expected Error.err
   const char* content;  // expected file content after the failure
 };
+
+// Print the armed failpoint rather than the raw struct bytes: the default
+// printer dumps pointer values and padding, which differ on every run
+// under ASLR and would give the test cases unstable names.
+void PrintTo(const AtomicWriteFailCase& c, std::ostream* os) { *os << c.spec; }
 
 class AtomicWriteFailure
     : public testing::TestWithParam<AtomicWriteFailCase> {};

@@ -3,10 +3,11 @@
 //   slck_fsck FILE...          check each file, print a one-line verdict
 //   slck_fsck --verbose FILE   add per-file structural detail
 //
-// Understands SLCK (checkpoint) v1/v2/v3 — including v3 block-store
-// snapshots (kind 2) — and SLPW (dataset) v1/v2/v3 — including v3
-// columnar datasets — by sniffing the magic and, for v3 containers,
-// the kind discriminator. Exit status: 0 when every file decodes intact,
+// Understands SLCK (checkpoint) v2/v3 — including v3 block-store
+// snapshots (kind 2); retired v1 checkpoints are reported as
+// undecodable — and SLPW (dataset) v1/v2/v3 — including v3 columnar
+// datasets — by sniffing the magic and, for v3 containers, the kind
+// discriminator. Exit status: 0 when every file decodes intact,
 // 1 when any file is corrupt/truncated/unreadable, 2 on usage errors.
 // scripts/tier1.sh runs it over freshly written artifacts so a format
 // regression (bad CRC, broken framing) fails the tier-1 gate, and
@@ -90,7 +91,7 @@ bool CheckStoreSnapshot(const std::vector<std::uint8_t>& bytes,
   return true;
 }
 
-/// Dispatches an SLCK file: v1/v2 (and v3 kind kCheckpointKind) go to
+/// Dispatches an SLCK file: v2 (and v3 kind kCheckpointKind) go to
 /// the checkpoint decoder; v3 kind kStoreSnapshotKind to the store
 /// decoder. The kind peek reuses the full ColumnarReader validation so
 /// a damaged header is reported, never mis-dispatched.
