@@ -9,7 +9,11 @@
 //       - 1834 samples (14 days x 131 rounds/day, even -> real-packed),
 //       - 1833 samples (trimmed 14-day series, odd -> Bluestein only),
 //       - 2048 samples (power of two),
-//       - 4583 samples (prime, Bluestein's worst case);
+//       - 4582 samples (35 days, the re-analysis length: even, so a
+//         2291-point Bluestein transform at m = 8192 plus the unpack),
+//       - 4583 samples (prime, Bluestein's worst case),
+//       - 8192 points, the bare power-of-two kernel: complex Forward
+//         against the planless FftRadix2InPlace, no real packing;
 //   * the campaign-realistic non-power-of-two speedup the acceptance
 //     gate requires to stay >= 2x (plan + real-input vs the planless
 //     ForwardReal the analyzer used before the plan cache);
@@ -57,7 +61,12 @@ void BM_ForwardRealPlanless(benchmark::State& state) {
     benchmark::DoNotOptimize(fft::ForwardRealPlanless(series));
   }
 }
-BENCHMARK(BM_ForwardRealPlanless)->Arg(1834)->Arg(1833)->Arg(2048)->Arg(4583);
+BENCHMARK(BM_ForwardRealPlanless)
+    ->Arg(1834)
+    ->Arg(1833)
+    ->Arg(2048)
+    ->Arg(4582)
+    ->Arg(4583);
 
 void BM_ForwardRealPlanned(benchmark::State& state) {
   const auto series = MakeSeries(static_cast<std::size_t>(state.range(0)));
@@ -70,7 +79,12 @@ void BM_ForwardRealPlanned(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_ForwardRealPlanned)->Arg(1834)->Arg(1833)->Arg(2048)->Arg(4583);
+BENCHMARK(BM_ForwardRealPlanned)
+    ->Arg(1834)
+    ->Arg(1833)
+    ->Arg(2048)
+    ->Arg(4582)
+    ->Arg(4583);
 
 void BM_InversePlanless(benchmark::State& state) {
   const auto series = MakeSeries(1834);
@@ -138,25 +152,35 @@ struct SizeResult {
   double Speedup() const { return plan_ns > 0.0 ? planless_ns / plan_ns : 0.0; }
 };
 
-/// Interleaved plan-vs-planless timing of ForwardReal at size n (the
-/// same discipline as micro_perf's obs ablation: warm first, alternate
-/// variants within each repeat so machine drift cancels).
+/// Interleaved plan-vs-planless timing of ForwardReal at size n, or of
+/// the complex Forward when `complex` is set (the same discipline as
+/// micro_perf's obs ablation: warm first, alternate variants within
+/// each repeat so machine drift cancels).
 SizeResult MeasureSize(std::size_t n, const char* label, int repeats,
-                       int iters) {
+                       int iters, bool complex = false) {
   SizeResult result;
   result.n = n;
   result.label = label;
 
   const auto series = MakeSeries(n);
+  const std::vector<fft::Complex> signal(series.begin(), series.end());
   const auto plan = fft::GetPlan(n);
   fft::FftScratch scratch;
   std::vector<fft::Complex> out;
 
   const auto planless = [&] {
-    benchmark::DoNotOptimize(fft::ForwardRealPlanless(series));
+    if (complex) {
+      benchmark::DoNotOptimize(fft::ForwardPlanless(signal));
+    } else {
+      benchmark::DoNotOptimize(fft::ForwardRealPlanless(series));
+    }
   };
   const auto planned = [&] {
-    plan->ForwardReal(series, scratch, out);
+    if (complex) {
+      plan->Forward(signal, scratch, out);
+    } else {
+      plan->ForwardReal(series, scratch, out);
+    }
     benchmark::DoNotOptimize(out.data());
   };
 
@@ -180,12 +204,17 @@ int WriteFftPerf(const std::string& path) {
 
   // 14 days x 131 rounds/day = 1834 (even, real-packed path) is the
   // campaign-realistic non-power-of-two size the acceptance gate is
-  // pinned to; 1833 is its odd midnight-trimmed sibling, 4583 is prime.
-  const std::array<SizeResult, 4> sizes = {
+  // pinned to; 1833 is its odd midnight-trimmed sibling, 4582 the
+  // re-analysis length, 4583 is prime, and 8192 times the power-of-two
+  // kernel alone.
+  const std::array<SizeResult, 6> sizes = {
       MeasureSize(1834, "campaign_14day_even", repeats, iters),
       MeasureSize(1833, "campaign_14day_trimmed", repeats, iters),
       MeasureSize(2048, "power_of_two", repeats, iters),
+      MeasureSize(4582, "reanalyze_35day_even", repeats, iters),
       MeasureSize(4583, "prime", repeats, iters),
+      MeasureSize(8192, "kernel_complex_pow2", repeats, iters,
+                  /*complex=*/true),
   };
   const SizeResult& campaign = sizes[0];
 

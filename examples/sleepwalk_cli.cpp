@@ -14,22 +14,36 @@
 //   sleepwalk_cli block --in /tmp/a12w.slpw --index 3
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <iostream>
 #include <map>
 #include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "sleepwalk/sleepwalk.h"
+#include "sleepwalk/util/parse.h"
 
 namespace {
 
 using namespace sleepwalk;
 
-/// Minimal --flag value parser.
+/// A flag value that is not a number in the flag's range.
+class FlagError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+constexpr long kMaxLong = std::numeric_limits<long>::max();
+constexpr long kMaxInt = std::numeric_limits<int>::max();
+constexpr long kMaxWorkers = 4096;  ///< 0 = hardware concurrency
+
+/// Minimal --flag value parser. Numeric getters take the whole value or
+/// throw FlagError: "abc", "1x" and out-of-range numbers are refused,
+/// never read as 0.
 class Flags {
  public:
   Flags(int argc, char** argv, int first) {
@@ -46,14 +60,14 @@ class Flags {
     return it != values_.end() ? it->second : fallback;
   }
 
-  long GetInt(const std::string& key, long fallback) const {
-    const auto text = Get(key);
-    return text.empty() ? fallback : std::atol(text.c_str());
+  long GetInt(const std::string& key, long fallback, long lo,
+              long hi) const {
+    return GetNumber(key, fallback, lo, hi, "an integer");
   }
 
-  double GetDouble(const std::string& key, double fallback) const {
-    const auto text = Get(key);
-    return text.empty() ? fallback : std::atof(text.c_str());
+  double GetDouble(const std::string& key, double fallback, double lo,
+                   double hi) const {
+    return GetNumber(key, fallback, lo, hi, "a number");
   }
 
   bool Has(const std::string& key) const {
@@ -61,6 +75,18 @@ class Flags {
   }
 
  private:
+  template <typename T>
+  T GetNumber(const std::string& key, T fallback, T lo, T hi,
+              const char* kind) const {
+    if (!Has(key)) return fallback;
+    const auto text = Get(key);
+    if (const auto value = util::ParseNumber(text, lo, hi)) return *value;
+    std::ostringstream message;
+    message << "--" << key << " expects " << kind << " in [" << lo << ", "
+            << hi << "], got '" << text << "'";
+    throw FlagError{message.str()};
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -263,17 +289,25 @@ int CmdMeasure(const Flags& flags) {
   }
   sim::WorldConfig world_config;
   world_config.total_blocks =
-      static_cast<int>(flags.GetInt("blocks", 1000));
-  world_config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  const int days = static_cast<int>(flags.GetInt("days", 7));
-  const auto site = static_cast<std::uint64_t>(flags.GetInt("site", 1));
+      static_cast<int>(flags.GetInt("blocks", 1000, 1, kMaxInt));
+  world_config.seed =
+      static_cast<std::uint64_t>(flags.GetInt("seed", 42, 0, kMaxLong));
+  const int days = static_cast<int>(flags.GetInt("days", 7, 1, 36500));
+  const auto site =
+      static_cast<std::uint64_t>(flags.GetInt("site", 1, 0, kMaxLong));
+  const int workers =
+      static_cast<int>(flags.GetInt("workers", core::HardwareWorkers(), 0,
+                                    kMaxWorkers));
+  const double loss = flags.GetDouble("loss", 0.0, 0.0, 1.0);
+  const double burst = flags.GetDouble("burst", 0.0, 0.0, 1.0);
+  const auto rate_limit =
+      static_cast<int>(flags.GetInt("rate-limit", 0, 0, kMaxInt));
+  const auto dead = flags.GetInt("dead", 0, 0, kMaxLong);
 
   std::cout << "generating ~" << world_config.total_blocks
             << " blocks (seed " << world_config.seed << ")...\n";
   const auto world = sim::SimWorld::Generate(world_config);
 
-  const int workers =
-      static_cast<int>(flags.GetInt("workers", core::HardwareWorkers()));
   std::cout << "measuring " << world.blocks().size() << " blocks for "
             << days << " days from site " << site << " on "
             << std::max(workers, 1) << " worker(s)...\n";
@@ -287,9 +321,9 @@ int CmdMeasure(const Flags& flags) {
   config.seed = site;
   config.checkpoint_path = flags.Get("checkpoint");
   config.checkpoint_every_blocks =
-      static_cast<int>(flags.GetInt("checkpoint-blocks", 1));
+      static_cast<int>(flags.GetInt("checkpoint-blocks", 1, 1, kMaxInt));
   config.checkpoint_keep =
-      static_cast<int>(flags.GetInt("checkpoint-keep", 3));
+      static_cast<int>(flags.GetInt("checkpoint-keep", 3, 0, 1000));
   const probing::RoundScheduler scheduler{config.analyzer.schedule};
 
   // Deterministic storage-fault injection: every persisted byte (dataset,
@@ -312,16 +346,14 @@ int CmdMeasure(const Flags& flags) {
   // injected between the prober and the (simulated) network.
   faults::FaultPlan plan;
   plan.seed = world_config.seed;
-  plan.iid_loss = flags.GetDouble("loss", 0.0);
-  if (const double burst = flags.GetDouble("burst", 0.0); burst > 0.0) {
+  plan.iid_loss = loss;
+  if (burst > 0.0) {
     plan.burst.enabled = true;
     const double bad = burst / plan.burst.loss_bad;
     plan.burst.p_good_to_bad =
         bad < 1.0 ? plan.burst.p_bad_to_good * bad / (1.0 - bad) : 1.0;
   }
-  plan.rate_limit_per_window =
-      static_cast<int>(flags.GetInt("rate-limit", 0));
-  const auto dead = flags.GetInt("dead", 0);
+  plan.rate_limit_per_window = rate_limit;
   for (long i = 0; i < dead && i < static_cast<long>(targets.size()); ++i) {
     plan.dead_blocks.insert(
         targets[static_cast<std::size_t>(i)].block.Index());
@@ -355,7 +387,7 @@ int CmdMeasure(const Flags& flags) {
     serve::InstallAdminRoutes(admin, plane);
     std::string admin_error;
     const auto port =
-        static_cast<std::uint16_t>(flags.GetInt("admin-port", 0));
+        static_cast<std::uint16_t>(flags.GetInt("admin-port", 0, 0, 65535));
     if (!admin.Start(port, &admin_error)) {
       std::cerr << "measure: cannot start admin server: " << admin_error
                 << "\n";
@@ -447,7 +479,8 @@ int CmdAnalyze(const Flags& flags) {
   std::int64_t skipped = 0;
   std::int64_t stationary = 0;
   const auto analyses = core::ReanalyzeDataset(
-      *dataset, config, static_cast<int>(flags.GetInt("workers", 0)));
+      *dataset, config,
+      static_cast<int>(flags.GetInt("workers", 0, 0, kMaxWorkers)));
   for (const auto& analysis : analyses) {
     if (!analysis.probed || analysis.observed_days < 2) {
       ++skipped;
@@ -544,7 +577,8 @@ int CmdBlock(const Flags& flags) {
       }
     }
   } else {
-    const auto index = static_cast<std::size_t>(flags.GetInt("index", 0));
+    const auto index =
+        static_cast<std::size_t>(flags.GetInt("index", 0, 0, kMaxLong));
     if (index < dataset->blocks.size()) chosen = &dataset->blocks[index];
   }
   if (chosen == nullptr) {
@@ -592,6 +626,9 @@ int main(int argc, char** argv) {
     if (command == "analyze") return CmdAnalyze(flags);
     if (command == "compare") return CmdCompare(flags);
     if (command == "block") return CmdBlock(flags);
+  } catch (const FlagError& error) {
+    std::cerr << "sleepwalk_cli " << command << ": " << error.what() << "\n";
+    return 2;
   } catch (const util::CrashInjected& crash) {
     // A --failpoints crash action fired: die the way a power cut would,
     // with a distinctive exit code the crash-consistency tests assert on.

@@ -43,7 +43,7 @@ DiurnalResult ClassifySpectrum(const fft::Spectrum& spectrum, int n_days,
       result.daily_bin = bin;
     }
   }
-  result.phase = spectrum.phase[result.daily_bin];
+  result.phase = spectrum.Phase(result.daily_bin);
 
   // Scan all non-DC bins for the overall winner, the strongest
   // non-harmonic competitor, and the strongest harmonic.

@@ -12,12 +12,14 @@
 //
 // Two implementation tiers share these conventions:
 //   * fft::Plan (plan.h) — precomputed tables, cached per size, zero
-//     steady-state allocation. The convenience entry points below
-//     (Forward/ForwardReal/Inverse) route through the process-wide
-//     PlanCache with a thread-local scratch, so every caller gets the
-//     fast path without managing plans.
-//   * the *Planless variants — the original self-contained kernels that
-//     recompute twiddles and chirps per call. They remain the
+//     steady-state allocation, and its own radix-4 kernel in plain
+//     double arithmetic with a permutation-free Bluestein convolution.
+//     The convenience entry points below (Forward/ForwardReal/Inverse)
+//     route through the process-wide PlanCache with a thread-local
+//     scratch, so every caller gets the fast path without managing plans.
+//   * the *Planless variants and FftRadix2InPlace — the original
+//     self-contained radix-2 kernels that recompute twiddles and chirps
+//     per call. They share no code with Plan, so they remain the
 //     plan-independent reference for property tests and the "before"
 //     side of bench/fft_perf.
 #ifndef SLEEPWALK_FFT_FFT_H_

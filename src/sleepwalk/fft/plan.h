@@ -7,14 +7,23 @@
 // FFT(b), derive twiddles through an error-accumulating `w *= wlen`
 // recurrence, and heap-allocate three size-m buffers on every call. A
 // `Plan` hoists all of that into construction:
-//   * the bit-reversal permutation and per-stage twiddle tables (each
-//     factor evaluated directly by cos/sin, no recurrence drift),
+//   * radix-4 twiddle tables for the power-of-two kernel (each factor
+//     evaluated directly by cos/sin, no recurrence drift), plus the
+//     bit-reversal permutation for power-of-two N,
 //   * for non-power-of-two N, the Bluestein chirp w_k = exp(-i*pi*k^2/N)
-//     and the frequency-domain kernel FFT(b) — so each transform costs
-//     two size-m FFTs instead of three plus a chirp recomputation,
+//     and the frequency-domain kernel FFT(b), stored in bit-reversed
+//     order — so each transform costs two size-m FFTs instead of three
+//     plus a chirp recomputation,
 //   * for even N, a packed real-input path: N reals fold into an N/2
 //     complex transform plus an O(N) twiddle unpack, halving the
 //     dominant cost of `ForwardReal`.
+//
+// The kernel works on the interleaved re,im view of the complex buffer
+// in plain double arithmetic, with stages fused in pairs into radix-4
+// passes. Bluestein runs its forward FFT as decimation-in-frequency
+// (natural in, bit-reversed out), multiplies by the bit-reversed FFT(b),
+// and runs the inverse as decimation-in-time (bit-reversed in, natural
+// out), so no buffer is ever permuted. DESIGN.md §10.1 has the details.
 //
 // Plans are immutable after construction; all per-call working memory
 // lives in a caller-owned FftScratch, so one shared plan serves any
@@ -46,11 +55,9 @@ class Plan;
 /// worker that analyzes same-length series allocates only on its first
 /// block. Not thread-safe: one FftScratch per worker thread.
 struct FftScratch {
-  std::vector<Complex> conv;    ///< Bluestein convolution buffer (size m)
-  std::vector<Complex> packed;  ///< real-input packing / complexified input
-  std::vector<Complex> half;    ///< half-size transform output (real path)
-  std::vector<Complex> coeffs;  ///< DFT coefficients (spectrum pipeline)
-  std::vector<double> real;     ///< preprocessed real series (spectrum)
+  std::vector<Complex> conv;  ///< Bluestein convolution buffer (size m)
+  std::vector<Complex> half;  ///< half-size transform output (real path)
+  std::vector<double> real;   ///< preprocessed real series (spectrum)
   /// Last plan this scratch executed with; callers that loop over
   /// same-length series skip the PlanCache mutex entirely.
   std::shared_ptr<const Plan> plan;
@@ -68,12 +75,12 @@ class Plan {
 
   std::size_t size() const noexcept { return n_; }
 
-  /// True when n is a power of two (direct radix-2, no Bluestein).
+  /// True when n is a power of two (direct kernel, no Bluestein).
   bool radix2() const noexcept { return chirp_.empty(); }
 
-  /// Size of the underlying radix-2 kernel: n for power-of-two plans,
-  /// the Bluestein convolution length m otherwise.
-  std::size_t kernel_size() const noexcept { return kernel_.n; }
+  /// Size of the underlying power-of-two kernel: n for power-of-two
+  /// plans, the Bluestein convolution length m otherwise.
+  std::size_t kernel_size() const noexcept { return m_; }
 
   /// Forward DFT (paper convention, unnormalized) of `in` into `out`.
   /// in.size() must equal size(). `out` is resized; with warm capacity
@@ -95,29 +102,28 @@ class Plan {
                std::vector<Complex>& out) const;
 
  private:
-  /// Radix-2 machinery for one power-of-two size: precomputed
-  /// bit-reversal permutation and per-stage twiddle tables (stage with
-  /// butterfly span `len` owns len/2 factors at offset len/2 - 1).
-  struct Radix2Kernel {
-    std::size_t n = 0;
-    std::vector<std::uint32_t> bitrev;
-    std::vector<Complex> twiddles;
-
-    void Transform(std::span<Complex> data, bool inverse) const;
-  };
-
-  static Radix2Kernel MakeKernel(std::size_t n);
-
-  /// Bluestein convolution shared by Forward/Inverse: `load` fills
-  /// scratch.conv[0..n) with the chirp-premultiplied input.
-  void BluesteinExecute(FftScratch& scratch, bool inverse,
-                        std::vector<Complex>& out) const;
+  /// Runs the size-n transform of the input `load(k)`, k in [0, n), into
+  /// `out`: the power-of-two kernel over the bit-reversed gather for
+  /// radix-2 plans, the Bluestein convolution otherwise. kInverse
+  /// conjugates every twiddle and chirp; it does not normalize.
+  template <bool kInverse, typename Load>
+  void Execute(const Load& load, FftScratch& scratch,
+               std::vector<Complex>& out) const;
 
   std::size_t n_ = 0;
-  Radix2Kernel kernel_;            ///< size n (radix2) or m (Bluestein)
+  std::size_t m_ = 0;  ///< kernel size: n (radix2) or the Bluestein m
+  /// Bit-reversal permutation of n; radix-2 plans only (Bluestein runs
+  /// its convolution in bit-reversed order and never permutes).
+  std::vector<std::uint32_t> bitrev_;
+  /// Radix-4 twiddles W^k, W^2k, W^3k (W = exp(-2*pi*i/len)) for every
+  /// radix-4 pass of the inner kernel, interleaved re,im.
+  std::vector<double> twiddles_;
+  /// exp(-2*pi*i*k/m), k < m/2, interleaved: the Bluestein outer stage.
+  std::vector<double> outer_;
   std::vector<Complex> chirp_;     ///< exp(-i*pi*k^2/n); empty when radix2
-  std::vector<Complex> fft_b_;     ///< FFT of the Bluestein kernel (size m)
-  std::vector<Complex> real_twiddles_;  ///< exp(-2*pi*i*k/n), k in [0, n/2]
+  /// FFT(b)/m of the Bluestein kernel, in bit-reversed order (size m).
+  std::vector<Complex> fft_b_;
+  std::vector<Complex> real_twiddles_;  ///< exp(-2*pi*i*k/n), k < n/2
   std::unique_ptr<const Plan> half_;    ///< size-n/2 sub-plan (even n >= 4)
 };
 

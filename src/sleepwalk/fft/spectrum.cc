@@ -55,8 +55,8 @@ void ComputeSpectrum(std::span<const double> series,
                      Spectrum& out) {
   const std::size_t n = series.size();
   out.input_size = n;
+  out.coeffs.clear();
   out.amplitude.clear();
-  out.phase.clear();
   if (n == 0) return;
 
   scratch.real.assign(series.begin(), series.end());
@@ -72,14 +72,14 @@ void ComputeSpectrum(std::span<const double> series,
   if (scratch.plan == nullptr || scratch.plan->size() != n) {
     scratch.plan = GetPlan(n);
   }
-  scratch.plan->ForwardReal(scratch.real, scratch, scratch.coeffs);
+  scratch.plan->ForwardReal(scratch.real, scratch, out.coeffs);
 
+  // Keep the one-sided half; shrinking keeps the capacity warm.
   const std::size_t bins = n / 2 + 1;
+  out.coeffs.resize(bins);
   out.amplitude.resize(bins);
-  out.phase.resize(bins);
   for (std::size_t k = 0; k < bins; ++k) {
-    out.amplitude[k] = std::abs(scratch.coeffs[k]);
-    out.phase[k] = std::arg(scratch.coeffs[k]);
+    out.amplitude[k] = std::abs(out.coeffs[k]);
   }
 }
 

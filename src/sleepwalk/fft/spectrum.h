@@ -10,15 +10,20 @@
 
 namespace sleepwalk::fft {
 
-/// One-sided spectrum of a real series: amplitude and phase for bins
-/// k in [0, n/2]. Bin 0 is DC.
+/// One-sided spectrum of a real series: coefficients and amplitudes for
+/// bins k in [0, n/2]. Bin 0 is DC. Phase is derived on demand: the
+/// detector reads it at one bin per block, so an arg() per bin would be
+/// wasted work.
 struct Spectrum {
+  std::vector<Complex> coeffs;    ///< alpha_k for k in [0, n/2].
   std::vector<double> amplitude;  ///< |alpha_k| for k in [0, n/2].
-  std::vector<double> phase;      ///< arg(alpha_k), radians in [-pi, pi].
   std::size_t input_size = 0;     ///< n, the number of time samples.
 
   /// Number of one-sided bins (n/2 + 1).
   std::size_t size() const noexcept { return amplitude.size(); }
+
+  /// arg(alpha_k), radians in [-pi, pi]; k < size().
+  double Phase(std::size_t k) const { return std::arg(coeffs[k]); }
 
   /// Frequency of bin k in cycles per full observation window.
   /// With N_d observation days, bin N_d is 1 cycle/day.

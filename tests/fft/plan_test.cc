@@ -22,10 +22,15 @@ namespace {
 constexpr double kTolerance = 1e-9;
 
 // Prime 4583, even campaign sizes 1834 (14 days x 131 rounds/day) and
-// 4582 (35 days), odd trimmed sizes 1833/4585, power of two 2048, plus
-// small sizes that exercise every branch (n < 4 skips real packing).
-constexpr std::size_t kSizes[] = {1,  2,    3,    4,    5,    6,   8,
-                                  12, 1833, 1834, 2048, 4582, 4583, 4585};
+// 4582 (35 days), odd trimmed sizes 1833/4585, plus small sizes that
+// exercise every branch (n < 4 skips real packing). The powers of two
+// are the kernels the campaign lengths run on: 2048 (odd log2, so a
+// radix-2 pass joins the radix-4 ones), 4096 (Bluestein for 1833),
+// 8192 (Bluestein for 2291, the half of 4582) and 16384 (Bluestein for
+// 4583).
+constexpr std::size_t kSizes[] = {1,    2,    3,    4,    5,    6,
+                                  8,    12,   1833, 1834, 2048, 4096,
+                                  4582, 4583, 4585, 8192, 16384};
 
 std::vector<Complex> RandomSignal(std::size_t n, std::uint64_t seed) {
   Rng rng{seed};

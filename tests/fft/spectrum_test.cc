@@ -42,7 +42,7 @@ TEST(Spectrum, CosineAmplitudeAndPhase) {
   const auto spectrum = ComputeSpectrum(Cosine(n, k0, 2.0, phase));
   // One-sided: cos with amplitude 2 puts n/2 * 2 = n into bin k0.
   EXPECT_NEAR(spectrum.amplitude[k0], static_cast<double>(n), 1e-8);
-  EXPECT_NEAR(spectrum.phase[k0], phase, 1e-9);
+  EXPECT_NEAR(spectrum.Phase(k0), phase, 1e-9);
   EXPECT_EQ(StrongestBin(spectrum), k0);
 }
 

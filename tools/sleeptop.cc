@@ -26,6 +26,8 @@
 #include <thread>
 #include <vector>
 
+#include "sleepwalk/util/parse.h"
+
 namespace {
 
 /// One blocking HTTP GET; returns false when the connection fails.
@@ -183,11 +185,24 @@ int main(int argc, char** argv) {
     if (arg == "--once") {
       once = true;
     } else if (arg == "--port" && i + 1 < argc) {
-      port = std::atoi(argv[++i]);
+      const auto value = sleepwalk::util::ParseNumber(argv[++i], 1, 65535);
+      if (!value) {
+        std::cerr << "sleeptop: --port expects an integer in [1, 65535], "
+                     "got '" << argv[i] << "'\n";
+        return 2;
+      }
+      port = *value;
     } else if (arg == "--host" && i + 1 < argc) {
       host = argv[++i];
     } else if (arg == "--interval" && i + 1 < argc) {
-      interval = std::atof(argv[++i]);
+      const auto value =
+          sleepwalk::util::ParseNumber(argv[++i], 0.01, 86400.0);
+      if (!value) {
+        std::cerr << "sleeptop: --interval expects seconds in [0.01, 86400], "
+                     "got '" << argv[i] << "'\n";
+        return 2;
+      }
+      interval = *value;
     } else {
       std::cerr << "usage: sleeptop --port P [--host H] [--interval SEC] "
                    "[--once]\n";
