@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <initializer_list>
 #include <limits>
 #include <memory>
 #include <iostream>
@@ -23,6 +24,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "sleepwalk/sleepwalk.h"
 #include "sleepwalk/util/parse.h"
@@ -31,7 +33,9 @@ namespace {
 
 using namespace sleepwalk;
 
-/// A flag value that is not a number in the flag's range.
+/// A malformed command line: a stray positional, an unknown flag, a
+/// flag without a value, or a value that is not a number in the flag's
+/// range.
 class FlagError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -41,16 +45,30 @@ constexpr long kMaxLong = std::numeric_limits<long>::max();
 constexpr long kMaxInt = std::numeric_limits<int>::max();
 constexpr long kMaxWorkers = 4096;  ///< 0 = hardware concurrency
 
-/// Minimal --flag value parser. Numeric getters take the whole value or
+/// Minimal --flag value parser over one command's accepted flags. Every
+/// argument must be an accepted `--flag` followed by its value, or the
+/// constructor throws FlagError: a stale or misspelt flag is refused,
+/// never silently ignored. Numeric getters take the whole value or
 /// throw FlagError: "abc", "1x" and out-of-range numbers are refused,
 /// never read as 0.
 class Flags {
  public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i + 1 < argc; i += 2) {
-      std::string key = argv[i];
-      if (key.rfind("--", 0) != 0) continue;
-      values_[key.substr(2)] = argv[i + 1];
+  Flags(int argc, char** argv, int first,
+        std::initializer_list<std::string_view> accepted) {
+    for (int i = first; i < argc; i += 2) {
+      const std::string_view token = argv[i];
+      if (token.rfind("--", 0) != 0) {
+        throw FlagError{"unexpected argument '" + std::string{token} + "'"};
+      }
+      const std::string key{token.substr(2)};
+      if (std::find(accepted.begin(), accepted.end(), key) ==
+          accepted.end()) {
+        throw FlagError{"unknown flag --" + key};
+      }
+      if (i + 1 >= argc || std::string_view{argv[i + 1]}.rfind("--", 0) == 0) {
+        throw FlagError{"--" + key + " expects a value"};
+      }
+      values_[key] = argv[i + 1];
     }
   }
 
@@ -97,7 +115,7 @@ int Usage() {
       "          [--workers W] [--loss P] [--burst P] [--rate-limit N]\n"
       "          [--dead N] [--checkpoint FILE] [--checkpoint-blocks B]\n"
       "          [--checkpoint-keep K]\n"
-      "          [--failpoints SPEC] [--dataset-format v2|v3]\n"
+      "          [--failpoints SPEC]\n"
       "          [--log-level L] [--log-json FILE] [--metrics-out FILE]\n"
       "          [--trace-out FILE] [--trace-chrome FILE]\n"
       "          [--admin-port P] [--admin-port-file FILE]\n"
@@ -128,16 +146,15 @@ int Usage() {
       "      on 127.0.0.1:P (0 picks a free port) while the campaign\n"
       "      runs — a read-only observer; results stay byte-identical.\n"
       "      --admin-port-file FILE writes the bound port for scripts.\n"
-      "      --dataset-format v3 writes the columnar zero-copy SLPW v3\n"
-      "      layout instead of the framed v2 (either reads back\n"
-      "      identically through analyze/compare/block).\n"
+      "      The dataset is written as SLPW v3 (columnar, zero-copy).\n"
       "  analyze --in FILE [--workers W]\n"
-      "      diurnal summary of a saved dataset (v1/v2/v3 sniffed;\n"
+      "      diurnal summary of a saved dataset (SLPW v2 or v3;\n"
       "      re-classified on --workers threads)\n"
       "  compare --a FILE --b FILE\n"
       "      cross-dataset agreement matrix (paper Table 2)\n"
       "  block --in FILE (--index I | --prefix a.b.c/24)\n"
-      "      one block's series, daily profile and classification\n";
+      "      one block's series, daily profile and classification\n"
+      "unknown flags, stray arguments and flags without a value exit 2\n";
   return 2;
 }
 
@@ -427,20 +444,9 @@ int CmdMeasure(const Flags& flags) {
   std::cerr << "\n";
   const auto& result = outcome.result;
 
-  const auto dataset_format = flags.Get("dataset-format");
-  if (!dataset_format.empty() && dataset_format != "v2" &&
-      dataset_format != "v3") {
-    std::cerr << "measure: --dataset-format must be v2 or v3\n";
-    return 2;
-  }
-  const auto write_error =
-      dataset_format == "v3"
-          ? core::WriteDatasetColumnar(env, out, result.analyses,
-                                       config.analyzer.schedule.round_seconds,
-                                       config.analyzer.schedule.epoch_sec)
-          : core::WriteDataset(env, out, result.analyses,
-                               config.analyzer.schedule.round_seconds,
-                               config.analyzer.schedule.epoch_sec);
+  const auto write_error = core::WriteDatasetColumnar(
+      env, out, result.analyses, config.analyzer.schedule.round_seconds,
+      config.analyzer.schedule.epoch_sec);
   if (!write_error.ok()) {
     std::cerr << "measure: cannot write " << out << ": "
               << write_error.ToString() << "\n";
@@ -620,12 +626,25 @@ int CmdBlock(const Flags& flags) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const Flags flags{argc, argv, 2};
   try {
-    if (command == "measure") return CmdMeasure(flags);
-    if (command == "analyze") return CmdAnalyze(flags);
-    if (command == "compare") return CmdCompare(flags);
-    if (command == "block") return CmdBlock(flags);
+    if (command == "measure") {
+      return CmdMeasure(Flags{
+          argc, argv, 2,
+          {"out", "blocks", "days", "seed", "site", "workers", "loss",
+           "burst", "rate-limit", "dead", "checkpoint", "checkpoint-blocks",
+           "checkpoint-keep", "failpoints", "log-level", "log-json",
+           "metrics-out", "trace-out", "trace-chrome", "admin-port",
+           "admin-port-file"}});
+    }
+    if (command == "analyze") {
+      return CmdAnalyze(Flags{argc, argv, 2, {"in", "workers"}});
+    }
+    if (command == "compare") {
+      return CmdCompare(Flags{argc, argv, 2, {"a", "b"}});
+    }
+    if (command == "block") {
+      return CmdBlock(Flags{argc, argv, 2, {"in", "index", "prefix"}});
+    }
   } catch (const FlagError& error) {
     std::cerr << "sleepwalk_cli " << command << ": " << error.what() << "\n";
     return 2;

@@ -80,20 +80,11 @@ if build/tools/slck_fsck "${smoke}/bad.slck" >/dev/null; then
   echo "slck_fsck missed an injected corruption" >&2
   exit 1
 fi
-# SLPW v3 columnar dataset: write one through the CLI, verify fsck
-# accepts it and that analyze reads it back with the same summary the
-# framed v2 file produced; a flipped byte in the values region must
-# fail the columnar verify.
-build/examples/sleepwalk_cli measure \
-  --blocks 20 --days 3 --seed 11 --loss 0.05 \
-  --dataset-format v3 --out "${smoke}/ck3.slpw" >/dev/null 2>&1
-build/tools/slck_fsck --verbose "${smoke}/ck3.slpw" | grep -q "SLPW v3"
-build/examples/sleepwalk_cli analyze --in "${smoke}/ck.slpw" \
-  >"${smoke}/an2.txt"
-build/examples/sleepwalk_cli analyze --in "${smoke}/ck3.slpw" \
-  >"${smoke}/an3.txt"
-cmp "${smoke}/an2.txt" "${smoke}/an3.txt"
-cp "${smoke}/ck3.slpw" "${smoke}/bad3.slpw"
+# The CLI writes SLPW v3: fsck names it, analyze reads it back, and a
+# flipped byte in the values region must fail the columnar verify.
+build/tools/slck_fsck --verbose "${smoke}/ck.slpw" | grep -q "SLPW v3"
+build/examples/sleepwalk_cli analyze --in "${smoke}/ck.slpw" >/dev/null
+cp "${smoke}/ck.slpw" "${smoke}/bad3.slpw"
 size3="$(wc -c < "${smoke}/bad3.slpw")"
 printf '\xa5' | dd of="${smoke}/bad3.slpw" bs=1 seek=$((size3 - 7)) \
   count=1 conv=notrunc 2>/dev/null
@@ -101,6 +92,27 @@ if build/tools/slck_fsck "${smoke}/bad3.slpw" >/dev/null; then
   echo "slck_fsck missed a corrupted v3 dataset" >&2
   exit 1
 fi
+# SLPW v2 is read, never written: the frozen fixture must verify and
+# analyze, and a flipped byte in a record must fail its record CRC.
+fixtures=tests/core/fixtures
+build/tools/slck_fsck "${fixtures}/dataset_v2_robustness.slpw" \
+  | grep -q "SLPW v2 ok"
+build/examples/sleepwalk_cli analyze \
+  --in "${fixtures}/dataset_v2_robustness.slpw" >/dev/null
+cp "${fixtures}/dataset_v2_robustness.slpw" "${smoke}/bad2.slpw"
+printf '\xa5' | dd of="${smoke}/bad2.slpw" bs=1 seek=60 count=1 \
+  conv=notrunc 2>/dev/null
+if build/tools/slck_fsck "${smoke}/bad2.slpw" >/dev/null; then
+  echo "slck_fsck missed a corrupted v2 dataset" >&2
+  exit 1
+fi
+# SLCK v2 is retired: fsck must say so and fail.
+if build/tools/slck_fsck "${fixtures}/checkpoint_v2.slck" \
+    >"${smoke}/retired.txt"; then
+  echo "slck_fsck accepted a retired SLCK v2 checkpoint" >&2
+  exit 1
+fi
+grep -q "SLCK v2 RETIRED" "${smoke}/retired.txt"
 echo "storage smoke OK"
 
 echo "== tier-1: worker-count smoke (1 vs 4 workers, byte-identical) =="

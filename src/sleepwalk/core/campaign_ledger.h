@@ -133,7 +133,7 @@ class CampaignLedger {
           std::find(checkpoint.quarantined.begin(),
                     checkpoint.quarantined.end(),
                     analyses[i].block.Index()) != checkpoint.quarantined.end();
-      // v2 checkpoints never persisted estimator state; keep the
+      // A checkpoint built without estimator state keeps the
       // Reset-seeded defaults rather than clobbering them with zeros.
       const AvailabilityState estimator =
           i < checkpoint.estimators.size() ? checkpoint.estimators[i]
@@ -180,8 +180,7 @@ class CampaignLedger {
     checkpoint.fingerprint = fingerprint;
     checkpoint.counts = outcome_.result.counts;
     checkpoint.completed = outcome_.result.analyses;
-    // Per-completed-block estimator state rides along (v3 containers
-    // persist it; the v2 encoder ignores it, its layout being frozen).
+    // Per-completed-block estimator state rides along.
     const std::size_t n_estimators =
         std::min(checkpoint.completed.size(), outcome_.store.size());
     checkpoint.estimators.reserve(n_estimators);

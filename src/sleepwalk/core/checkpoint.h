@@ -8,44 +8,41 @@
 // statistics (probe accounting included — the only transport state
 // there is), and the index of the first unfinished block.
 //
-// Format "SLCK" v2 (little-endian; encode/decode are pure in-memory
-// transforms over storage/bytes.h, moved atomically by storage/file.h):
-//
-//   magic "SLCK"
-//   | u32 version | u64 campaign_fingerprint | u64 generation
-//   | u32 n_sections | u32 header_crc32c            (over the 24 bytes
-//                                                    after the magic)
-//   then n_sections framed sections:
-//   u32 section_id | u64 payload_len | u32 payload_crc32c | payload
-//
-// Sections (every one present exactly once):
-//   META        format version (mixed-version refusal), diurnal counts,
-//               resilience stats, next_block
-//   COMPLETED   finished BlockAnalysis records (full f64 series)
-//   QUARANTINED abandoned prefix indices
-//   INFLIGHT    one flag byte, always written 0
-//   TRANSPORT   always written empty
+// Format: SLCK v3, the storage/columnar.h container (magic "SLCK",
+// kind kCheckpointKind; encode/decode are pure in-memory transforms,
+// moved atomically by storage/file.h). The header carries the campaign
+// fingerprint and the generation; the columns are
+//   META        u8 blob: format version (mixed-version refusal), diurnal
+//               counts, resilience stats, next_block
+//   QUARANTINED u32 abandoned prefix indices
+//   INFLIGHT    u8 blob, one flag byte, always written 0
+//   TRANSPORT   u8 blob, always written empty
+//   COMPLETED   one fixed-width column per BlockAnalysis field (one row
+//               per finished block), the final estimator state per
+//               block, and three concatenated blobs (series values,
+//               outage starts, outage episodes) indexed by the per-row
+//               length columns
 // INFLIGHT and TRANSPORT once carried a retired engine's mid-block
-// analyzer state and transport snapshot. They stay in the layout so old
-// and new binaries read each other's files; decoding reads only the
-// flag byte and the blob's presence, and resume refuses a file that has
-// either set.
+// analyzer state and transport snapshot. They stay in the layout so
+// the file bytes do not change; decoding reads only the flag byte and
+// the blob's presence, and resume refuses a file that has either set.
 //
-// Every section is independently CRC32C-framed (net/checksum.h), so a
+// Every column, the header and the directory are CRC32C-framed, so a
 // torn write, a truncation, or a bit flip is *detected* — and the
 // CheckpointStore below *recovers*: it rotates generation-numbered
 // hard-linked snapshots (<path>.g<N>, keep last K) and falls back to
 // the newest intact generation when the primary file is damaged,
 // quarantining the corrupt file as <name>.corrupt for post-mortem.
 //
-// SLCK v3 columnar containers (storage/columnar.h) — the paper-scale
-// layout and the SupervisorConfig default — read back through the same
-// decoder; v1 files (the pre-checksum format) are refused. The
-// fingerprint binds a checkpoint to its campaign:
-// resuming with different targets, rounds, seed, or schedule is refused
-// rather than silently producing a franken-dataset. The generation
-// number is the checkpoint's own checkpoints_written count, so crashed
-// and uninterrupted timelines number their snapshots identically.
+// v3 is the only format written or read. SLCK v1 (unframed) and v2
+// (CRC-framed row sections) files are refused with version_refused, so
+// the store quarantines them like any unreadable candidate and the
+// campaign starts fresh. The fingerprint binds a checkpoint to its
+// campaign: resuming with different targets, rounds, seed, or schedule
+// is refused rather than silently producing a franken-dataset. The
+// generation number is the checkpoint's own checkpoints_written count,
+// so crashed and uninterrupted timelines number their snapshots
+// identically.
 #ifndef SLEEPWALK_CORE_CHECKPOINT_H_
 #define SLEEPWALK_CORE_CHECKPOINT_H_
 
@@ -63,17 +60,8 @@
 
 namespace sleepwalk::core {
 
-/// Row-oriented checkpoint format version; bump on any layout change.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
-
-/// Columnar checkpoint format version (the storage/columnar.h container,
-/// kind kCheckpointKind). Same magic and trust discipline as v2 but the
-/// COMPLETED section becomes fixed-width per-block columns plus three
-/// concatenated blobs (series values, outage starts, outage episodes),
-/// so a paper-scale checkpoint loads through storage::Env::Map with one
-/// bulk copy per column instead of one decode per field per record.
-/// Campaigns pick it via SupervisorConfig::checkpoint_format (3 is the
-/// default); the decoder handles v2 and v3 transparently.
+/// The checkpoint format version: the storage/columnar.h container,
+/// loaded through storage::Env::Map with one bulk copy per column.
 inline constexpr std::uint32_t kCheckpointVersionColumnar = 3;
 
 /// Everything a resumed campaign needs.
@@ -82,10 +70,9 @@ struct Checkpoint {
   DiurnalCounts counts;
   report::ResilienceStats stats;
   std::vector<BlockAnalysis> completed;
-  /// Final estimator state per completed block, parallel to `completed`.
-  /// Persisted by v3 containers only (v2's layout is frozen); empty
-  /// after a v1/v2 decode. Feeds the outcome's columnar BlockStore so a
-  /// v3-resumed campaign reproduces the estimator columns exactly.
+  /// Final estimator state per completed block, parallel to `completed`
+  /// after a decode. Feeds the outcome's columnar BlockStore so a resumed
+  /// campaign reproduces the estimator columns exactly.
   std::vector<AvailabilityState> estimators;
   std::vector<std::uint32_t> quarantined;  ///< prefix indices abandoned
   std::uint64_t next_block = 0;  ///< index of the first unfinished target
@@ -125,43 +112,29 @@ std::uint64_t CampaignFingerprint(const std::vector<BlockTarget>& targets,
                                   std::int64_t n_rounds, std::uint64_t seed,
                                   const AnalyzerConfig& config);
 
-/// Serializes `checkpoint` as SLCK v2. The header's generation is the
-/// checkpoint's own stats.checkpoints_written.
+/// Serializes `checkpoint` as an SLCK v3 container (generation =
+/// stats.checkpoints_written). Deterministic: two equal checkpoints
+/// encode byte-identically, so resumed and uninterrupted timelines
+/// converge to the same file.
 std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint);
 
-/// Serializes `checkpoint` as an SLCK v3 columnar container (generation
-/// = stats.checkpoints_written, like v2). Deterministic: two equal
-/// checkpoints encode byte-identically, so resumed and uninterrupted
-/// timelines still converge to the same file.
-std::vector<std::uint8_t> EncodeCheckpointColumnar(
-    const Checkpoint& checkpoint);
-
-/// Dispatches on `format` (kCheckpointVersion or
-/// kCheckpointVersionColumnar; anything else falls back to v2).
+/// EncodeCheckpoint for callers that name the format explicitly; throws
+/// std::invalid_argument for any `format` but kCheckpointVersionColumnar.
 std::vector<std::uint8_t> EncodeCheckpointAs(const Checkpoint& checkpoint,
                                              std::uint32_t format);
 
-/// Decodes SLCK v2 or v3 bytes; nullopt on bad magic, an unsupported
-/// version (v1 included), truncation, or any CRC failure (details in
-/// `report`).
+/// Decodes SLCK v3 bytes; nullopt on bad magic, any other version
+/// (v1 and v2 included, with version_refused set), truncation, or any
+/// CRC failure (details in `report`).
 std::optional<Checkpoint> DecodeCheckpoint(
     std::span<const std::uint8_t> bytes,
     CheckpointLoadReport* report = nullptr);
 
-/// Atomically and durably writes `checkpoint` to `path` through `env`
-/// (tmp + fsync + rename + dir-fsync; the tmp file is unlinked on every
-/// error path and the Error carries the failing step's errno).
-storage::Error WriteCheckpoint(storage::Env& env, const std::string& path,
-                               const Checkpoint& checkpoint);
-
-/// Reads one checkpoint file; nullopt on any I/O or decode failure.
+/// Reads one checkpoint file through `env`; nullopt on any I/O or
+/// decode failure.
 std::optional<Checkpoint> ReadCheckpoint(
     storage::Env& env, const std::string& path,
     CheckpointLoadReport* report = nullptr);
-
-/// Convenience wrappers over the process-wide real filesystem.
-bool WriteCheckpoint(const std::string& path, const Checkpoint& checkpoint);
-std::optional<Checkpoint> ReadCheckpoint(const std::string& path);
 
 /// Generation-rotating checkpoint store.
 ///
@@ -172,12 +145,8 @@ std::optional<Checkpoint> ReadCheckpoint(const std::string& path);
 /// when it is corrupt — the self-healing path.
 class CheckpointStore {
  public:
-  /// `keep` <= 1 disables rotation (primary file only). `format` picks
-  /// the on-disk encoding Save() writes (kCheckpointVersion or
-  /// kCheckpointVersionColumnar); Load() reads either regardless, so a
-  /// campaign can switch formats across restarts.
-  CheckpointStore(storage::Env& env, std::string path, int keep,
-                  std::uint32_t format = kCheckpointVersion);
+  /// `keep` <= 1 disables rotation (primary file only).
+  CheckpointStore(storage::Env& env, std::string path, int keep);
 
   /// Durably persists `checkpoint` and rotates generations.
   storage::Error Save(const Checkpoint& checkpoint);
@@ -204,7 +173,6 @@ class CheckpointStore {
   std::string dir_;
   std::string base_;  ///< file name of `path_` within `dir_`
   int keep_;
-  std::uint32_t format_;
 };
 
 }  // namespace sleepwalk::core

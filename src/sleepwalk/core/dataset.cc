@@ -7,14 +7,12 @@
 #include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/net/checksum.h"
 #include "sleepwalk/storage/bytes.h"
-#include "sleepwalk/util/narrow.h"
 
 namespace sleepwalk::core {
 
 namespace {
 
 using storage::ByteReader;
-using storage::ByteWriter;
 
 constexpr char kMagic[4] = {'S', 'L', 'P', 'W'};
 
@@ -24,17 +22,6 @@ constexpr std::size_t kHeaderBytes = 4 + 8 + 8 + 8;
 
 // Reject implausible counts before reserving (corrupt headers).
 constexpr std::uint64_t kMaxCount = 1ull << 32;
-
-void PutRecord(ByteWriter& out, const BlockAnalysis& analysis) {
-  out.Put(analysis.block.Index());
-  out.Put(util::CheckedNarrow<std::uint16_t>(analysis.ever_active));
-  out.Put(util::BoolByte(analysis.probed));
-  out.Put(analysis.short_series.first_round);
-  out.Put(util::CheckedNarrow<std::uint32_t>(analysis.short_series.size()));
-  for (const double value : analysis.short_series.values) {
-    out.Put(static_cast<float>(value));
-  }
-}
 
 bool GetRecord(ByteReader& in, StoredSeries& stored) {
   std::uint32_t index = 0;
@@ -55,30 +42,6 @@ bool GetRecord(ByteReader& in, StoredSeries& stored) {
     value = static_cast<double>(sample);
   }
   return true;
-}
-
-/// SLPW v1: the unframed stream. Reader sits just after the version.
-std::optional<Dataset> DecodeV1(ByteReader& in, DatasetLoadReport& report) {
-  Dataset dataset;
-  std::uint64_t block_count = 0;
-  if (!in.Get(dataset.round_seconds) || !in.Get(dataset.epoch_sec) ||
-      !in.Get(block_count) || block_count > kMaxCount) {
-    report.corrupt_records = 1;
-    report.detail = "v1 header truncated or implausible";
-    return std::nullopt;
-  }
-  report.records_expected = block_count;
-  dataset.blocks.reserve(block_count);
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    StoredSeries stored;
-    if (!GetRecord(in, stored)) {
-      report.corrupt_records = 1;
-      report.detail = "v1 record " + std::to_string(i) + " truncated";
-      return std::nullopt;
-    }
-    dataset.blocks.push_back(std::move(stored));
-  }
-  return dataset;
 }
 
 /// Shared v2 walk; `tolerant` decides whether a damaged record kills the
@@ -167,7 +130,6 @@ std::optional<Dataset> Decode(std::span<const std::uint8_t> bytes,
     report.detail = "truncated before version";
     return std::nullopt;
   }
-  if (report.version == 1) return DecodeV1(in, report);
   if (report.version == storage::kColumnarVersion) {
     // SLPW v3 interop: parse the columnar container (all-or-nothing —
     // per-column CRCs leave nothing to salvage record-by-record, so
@@ -191,35 +153,6 @@ std::optional<Dataset> Decode(std::span<const std::uint8_t> bytes,
 
 }  // namespace
 
-std::vector<std::uint8_t> EncodeDataset(std::span<const BlockAnalysis> analyses,
-                                        std::int64_t round_seconds,
-                                        std::int64_t epoch_sec) {
-  ByteWriter out;
-  out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(kMagic),
-                         sizeof(kMagic)});
-  ByteWriter header;
-  // Exact header size up front: one u32 + two i64 + one u64. Also
-  // placates GCC 12's -Wstringop-overflow, which at -O3 loses track of
-  // vector regrowth across consecutive Put() calls.
-  header.Reserve(sizeof(std::uint32_t) + 3 * sizeof(std::uint64_t));
-  header.Put(kDatasetVersion);
-  header.Put(round_seconds);
-  header.Put(epoch_sec);
-  header.Put(static_cast<std::uint64_t>(analyses.size()));
-  out.PutBytes(header.bytes());
-  out.Put(net::Crc32cOf(header.bytes()));
-
-  ByteWriter record;
-  for (const auto& analysis : analyses) {
-    record = ByteWriter{};
-    PutRecord(record, analysis);
-    out.Put(util::CheckedNarrow<std::uint32_t>(record.size()));
-    out.Put(net::Crc32cOf(record.bytes()));
-    out.PutBytes(record.bytes());
-  }
-  return out.Take();
-}
-
 std::optional<Dataset> DecodeDataset(std::span<const std::uint8_t> bytes,
                                      DatasetLoadReport* report) {
   DatasetLoadReport scratch;
@@ -230,14 +163,6 @@ std::optional<Dataset> DecodeDatasetTolerant(
     std::span<const std::uint8_t> bytes, DatasetLoadReport* report) {
   DatasetLoadReport scratch;
   return Decode(bytes, report != nullptr ? *report : scratch, true);
-}
-
-storage::Error WriteDataset(storage::Env& env, const std::string& path,
-                            std::span<const BlockAnalysis> analyses,
-                            std::int64_t round_seconds,
-                            std::int64_t epoch_sec) {
-  return storage::AtomicWrite(
-      env, path, EncodeDataset(analyses, round_seconds, epoch_sec));
 }
 
 std::optional<Dataset> ReadDataset(storage::Env& env, const std::string& path,
@@ -251,14 +176,6 @@ std::optional<Dataset> ReadDataset(storage::Env& env, const std::string& path,
     return std::nullopt;
   }
   return DecodeDataset(bytes, report);
-}
-
-bool WriteDataset(const std::string& path,
-                  std::span<const BlockAnalysis> analyses,
-                  std::int64_t round_seconds, std::int64_t epoch_sec) {
-  return WriteDataset(storage::RealEnvInstance(), path, analyses,
-                      round_seconds, epoch_sec)
-      .ok();
 }
 
 std::optional<Dataset> ReadDataset(const std::string& path) {

@@ -5,21 +5,25 @@
 // property: a measured campaign can be written to a compact binary file
 // and re-analyzed later without re-probing.
 //
-// Format "SLPW" v2 (little-endian; encoded in memory via
-// storage/bytes.h, moved atomically by storage/file.h):
+// Datasets are written in one format: SLPW v3, the columnar container
+// of core/dataset_columnar.h (WriteDatasetColumnar). This header holds
+// the format-neutral Dataset struct, the readers, and re-analysis.
+//
+// The readers also accept SLPW v2, the framed row format the CLI wrote
+// by default before v3 became the only writer (little-endian):
 //   magic "SLPW"
 //   | u32 version | i64 round_seconds | i64 epoch_sec | u64 block_count
 //   | u32 header_crc32c                  (over the 28 bytes after magic)
 //   then per block one framed record:
 //   u32 payload_len | u32 payload_crc32c | payload
-//   where payload is the v1 record:
+//   where payload is
 //   u32 prefix_index | u16 ever_active | u8 probed | i64 first_round
 //   | u32 n_samples | n_samples * f32 (the cleaned A-hat_s series)
 //
 // The per-record CRC32C turns silent bit rot into a detected, *localized*
 // failure: the strict loader refuses the file, the tolerant loader skips
-// the damaged record(s) and reports how many were lost. v1 files (no
-// framing, no checksums) are still readable; the writer emits v2 only.
+// the damaged record(s) and reports how many were lost (slck_fsck's
+// per-record salvage). SLPW v1 (no framing, no checksums) is refused.
 #ifndef SLEEPWALK_CORE_DATASET_H_
 #define SLEEPWALK_CORE_DATASET_H_
 
@@ -36,7 +40,7 @@
 
 namespace sleepwalk::core {
 
-/// Dataset format version; bump on any layout change.
+/// SLPW v2, the framed row format: read, never written.
 inline constexpr std::uint32_t kDatasetVersion = 2;
 
 /// One block's stored measurement.
@@ -66,37 +70,24 @@ struct DatasetLoadReport {
   std::string detail;          ///< first failure, human-readable
 };
 
-/// Serializes analyses as SLPW v2.
-std::vector<std::uint8_t> EncodeDataset(std::span<const BlockAnalysis> analyses,
-                                        std::int64_t round_seconds = 660,
-                                        std::int64_t epoch_sec = 0);
-
-/// Decodes SLPW v1 or v2 bytes. Strict: any corrupt or truncated record
-/// fails the whole load (details in `report`).
+/// Decodes SLPW v2 or v3 bytes (v3 materialized per block). Strict: any
+/// corrupt or truncated record fails the whole load (details in
+/// `report`).
 std::optional<Dataset> DecodeDataset(std::span<const std::uint8_t> bytes,
                                      DatasetLoadReport* report = nullptr);
 
-/// Salvaging decode (v2 only benefits; v1 has no record framing): CRC-
-/// damaged records are skipped and counted, intact ones are returned.
-/// nullopt only when the header itself is unusable.
+/// Salvaging decode (only v2 benefits; v3's per-column CRCs leave
+/// nothing to salvage record by record): CRC-damaged records are skipped
+/// and counted, intact ones are returned. nullopt only when the header
+/// itself is unusable.
 std::optional<Dataset> DecodeDatasetTolerant(
     std::span<const std::uint8_t> bytes, DatasetLoadReport* report = nullptr);
-
-/// Atomically and durably writes the dataset through `env`.
-storage::Error WriteDataset(storage::Env& env, const std::string& path,
-                            std::span<const BlockAnalysis> analyses,
-                            std::int64_t round_seconds = 660,
-                            std::int64_t epoch_sec = 0);
 
 /// Strict read through `env`; nullopt on any I/O or decode failure.
 std::optional<Dataset> ReadDataset(storage::Env& env, const std::string& path,
                                    DatasetLoadReport* report = nullptr);
 
-/// Convenience wrappers over the process-wide real filesystem.
-bool WriteDataset(const std::string& path,
-                  std::span<const BlockAnalysis> analyses,
-                  std::int64_t round_seconds = 660,
-                  std::int64_t epoch_sec = 0);
+/// Convenience wrapper over the process-wide real filesystem.
 std::optional<Dataset> ReadDataset(const std::string& path);
 
 /// Re-analyzes a stored series: stationarity + diurnal classification,
@@ -112,9 +103,9 @@ void Reanalyze(const StoredSeries& stored, const AnalyzerConfig& config,
                AnalysisScratch& scratch, BlockAnalysis& out);
 
 /// THE stored-series analysis chain (WholeDays -> mean -> stationarity
-/// -> classify) over caller-owned samples. Both dataset formats
-/// delegate here — SLPW v2 from its decoded vectors, SLPW v3 straight
-/// off the mapped f32 column — which is what makes their re-analyses
+/// -> classify) over caller-owned samples. Both dataset layouts
+/// delegate here — decoded per-block vectors, and SLPW v3 straight off
+/// the mapped f32 column — which is what makes their re-analyses
 /// bitwise identical.
 void ReanalyzeSeries(net::Prefix24 block, int ever_active, bool probed,
                      std::int64_t first_round, std::span<const double> values,

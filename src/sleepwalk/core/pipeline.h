@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <cstddef>
 #include <functional>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "sleepwalk/core/block_analyzer.h"
@@ -76,52 +74,8 @@ struct CampaignProgress {
   }
 };
 
-/// Progress callback wrapper. New consumers take the full
-/// CampaignProgress; legacy `(blocks_done, blocks_total)` callables are
-/// adapted transparently so existing callers keep compiling.
-class ProgressFn {
- public:
-  ProgressFn() = default;
-  ProgressFn(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
-
-  template <typename F,
-            std::enable_if_t<
-                std::is_invocable_v<F&, const CampaignProgress&>, int> = 0>
-  ProgressFn(F fn)  // NOLINT(google-explicit-constructor)
-      : fn_(std::move(fn)) {}
-
-  /// Shim for the pre-telemetry callback shape.
-  template <typename F,
-            std::enable_if_t<
-                !std::is_invocable_v<F&, const CampaignProgress&> &&
-                    std::is_invocable_v<F&, std::size_t, std::size_t>,
-                int> = 0>
-  ProgressFn(F fn) {  // NOLINT(google-explicit-constructor)
-    fn_ = [legacy = std::move(fn)](const CampaignProgress& p) mutable {
-      legacy(p.blocks_done, p.blocks_total);
-    };
-  }
-
-  /// std::function overloads preserve emptiness instead of wrapping an
-  /// empty target (which would crash on call).
-  ProgressFn(  // NOLINT(google-explicit-constructor)
-      std::function<void(const CampaignProgress&)> fn)
-      : fn_(std::move(fn)) {}
-  ProgressFn(  // NOLINT(google-explicit-constructor)
-      std::function<void(std::size_t, std::size_t)> fn) {
-    if (fn) {
-      fn_ = [legacy = std::move(fn)](const CampaignProgress& p) {
-        legacy(p.blocks_done, p.blocks_total);
-      };
-    }
-  }
-
-  explicit operator bool() const noexcept { return static_cast<bool>(fn_); }
-  void operator()(const CampaignProgress& progress) const { fn_(progress); }
-
- private:
-  std::function<void(const CampaignProgress&)> fn_;
-};
+/// Progress callback, invoked with the full CampaignProgress.
+using ProgressFn = std::function<void(const CampaignProgress&)>;
 
 /// Runs an `n_rounds`-round campaign over every target through
 /// `transport`: core::RunParallelCampaign at one worker over a
@@ -150,7 +104,7 @@ struct ColumnarDatasetView;  // core/dataset_columnar.h
 /// aggregates DiurnalCounts — no per-block vectors or output analyses
 /// are materialized, so a 1M-block sweep stays O(workers) in memory.
 /// Counts match ReanalyzeDataset + ClassifyAnalysis of the same data
-/// loaded via SLPW v2 exactly.
+/// materialized as a Dataset exactly.
 DiurnalCounts ReanalyzeDatasetColumnar(const ColumnarDatasetView& view,
                                        const AnalyzerConfig& config = {},
                                        int workers = 0);

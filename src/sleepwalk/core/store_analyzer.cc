@@ -74,22 +74,9 @@ StoreAnalyzeStats AnalyzeStoreRange(BlockStore& store, std::size_t begin,
             .stationary;
 
     ++stats.classified;
-    DiurnalResult diurnal;
-    bool run_fft = true;
-    if (config.goertzel_screen) {
-      const auto screen =
-          QuickDiurnalScreen(scratch.trimmed.values, verdict.observed_days,
-                             config.screen, scratch.centered);
-      if (!screen.pass) {
-        run_fft = false;  // triaged non-diurnal, skip the transform
-        ++stats.screened_out;
-      }
-    }
-    if (run_fft) {
-      diurnal = ClassifyDiurnal(scratch.trimmed.values,
-                                verdict.observed_days, config.diurnal,
-                                nullptr, scratch);
-    }
+    const DiurnalResult diurnal =
+        ClassifyDiurnal(scratch.trimmed.values, verdict.observed_days,
+                        config.diurnal, nullptr, scratch);
     verdict.classification =
         static_cast<std::uint8_t>(diurnal.classification);
     if (diurnal.IsDiurnal()) ++stats.diurnal;
@@ -130,7 +117,6 @@ StoreAnalyzeStats AnalyzeStore(BlockStore& store,
     stats.analyzed += p.analyzed;
     stats.classified += p.classified;
     stats.diurnal += p.diurnal;
-    stats.screened_out += p.screened_out;
   }
   return stats;
 }

@@ -148,7 +148,7 @@ StoreCampaignOutcome RunStoreCampaign(BlockStore& store,
     }
 
     if (checkpointing) {
-      ++checkpoints_written;  // write-ahead self-count, like SLCK v2
+      ++checkpoints_written;  // write-ahead self-count, like SLCK
       const auto image =
           store.EncodeSnapshot(fingerprint, rounds_done, checkpoints_written);
       if (auto error =

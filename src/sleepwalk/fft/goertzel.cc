@@ -9,8 +9,8 @@ namespace sleepwalk::fft {
 
 namespace {
 
-// Chunk width for GoertzelMany: enough for the quick screen's 3 bins
-// (and any plausible harmonic set) to run in one input pass with all
+// Chunk width for GoertzelMany: enough for a daily bin plus any
+// plausible harmonic set to run in one input pass with all
 // state in registers/stack, while keeping the function allocation-free
 // for arbitrarily long bin lists.
 constexpr std::size_t kManyChunk = 8;

@@ -18,10 +18,9 @@ namespace sleepwalk::fft {
 /// Forward(): alpha_k = sum_m x_m exp(-2*pi*i*m*k/n).
 std::complex<double> Goertzel(std::span<const double> input, std::size_t k);
 
-/// Evaluates several DFT bins in one pass over the input: the quick
-/// screen needs 3 bins (daily, daily+1, 2*daily), and walking the series
-/// once instead of once per bin keeps it memory-bound rather than
-/// cache-miss-bound on long campaigns. Each bin's recurrence performs
+/// Evaluates several DFT bins in one pass over the input: walking the
+/// series once instead of once per bin keeps it memory-bound rather than
+/// cache-miss-bound on long campaigns (bench/fft_perf's crossover row). Each bin's recurrence performs
 /// the exact arithmetic of the single-bin Goertzel in the same order, so
 /// out[i] is bitwise identical to Goertzel(input, bins[i]).
 /// `out.size()` must be >= `bins.size()`.

@@ -146,12 +146,8 @@ Error ColumnarReader::Parse(std::span<const std::uint8_t> file,
       detail = "v";
       detail += std::to_string(version);
       detail +=
-          " container refused: this is the v3 columnar reader; decode "
-          "with the v";
-      detail += std::to_string(version);
-      detail +=
-          " row format instead (or re-write the file with "
-          "checkpoint_format=3)";
+          " container refused: a pre-columnar row format; this reader "
+          "takes v3 only";
     } else {
       detail = "unsupported version ";
       detail += std::to_string(version);

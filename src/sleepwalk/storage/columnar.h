@@ -1,15 +1,15 @@
 // Page-aligned columnar container: the SLCK/SLPW v3 on-disk engine.
 //
-// v2 frames row-oriented sections (storage/bytes.h streams, one record
-// at a time); loading a million-block checkpoint through it costs a
-// full decode pass before the first block is usable. v3 keeps the same
-// trust discipline — magic, version, CRC32C over every payload — but
+// The v2 row formats framed row-oriented sections (storage/bytes.h
+// streams, one record at a time); loading a million-block checkpoint
+// through them costs a full decode pass before the first block is
+// usable. v3 keeps the same trust discipline — magic, version, CRC32C over every payload — but
 // lays the state out as fixed-width columns so a reader can hand out
 // *typed spans straight into the mapped file* (storage::Env::Map) and
 // the block store (core/block_store.h) can adopt them with one memcpy
 // per column instead of one decode per field per row.
 //
-// File layout (all integers little-endian, like v2):
+// File layout (all integers little-endian):
 //
 //   header  (36 bytes)
 //     0   magic[4]        caller-supplied ("SLCK", "SLPW")
@@ -26,8 +26,8 @@
 //   column payloads, each offset 64-byte aligned, zero padding between
 //
 // The reader validates *everything* before exposing a byte: magic,
-// version (a v2 file is refused with a distinct remediation message,
-// not parsed as garbage), header CRC, directory CRC, and per column
+// version (a v1/v2 file is refused with a distinct message, not parsed
+// as garbage), header CRC, directory CRC, and per column
 // that byte_len == rows * elem_width, the offset is aligned and inside
 // the file, and the payload CRC matches. Hostile inputs fail closed
 // with an Error naming the first violated invariant.
@@ -181,8 +181,8 @@ class ColumnarReader {
 };
 
 /// Sniffs the container version at bytes [4, 8) when `file` starts with
-/// `magic` (shared by the v2 and v3 headers, so format dispatch and
-/// slck_fsck use this before committing to a decoder). nullopt when the
+/// `magic` (every SLCK/SLPW version keeps it there, so format dispatch
+/// and slck_fsck use this before committing to a decoder). nullopt when the
 /// file is too short or the magic differs.
 std::optional<std::uint32_t> PeekContainerVersion(
     std::span<const std::uint8_t> file, std::string_view magic) noexcept;

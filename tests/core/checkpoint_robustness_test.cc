@@ -1,21 +1,24 @@
-// SLCK v2 robustness: every single-byte corruption and every truncation
-// of a checkpoint file must be detected; the CheckpointStore must
-// self-heal from retained generations; mixed-version splices and v1
-// files must be refused.
+// Checkpoint recovery: the CheckpointStore must self-heal from retained
+// generations, and mixed-version splices and retired-format files (SLCK
+// v1, and v2 from a fixture frozen from the last v2 writer) must be
+// refused. Byte-level corruption and truncation of the v3 file itself
+// is swept in checkpoint_columnar_test.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "fixture.h"
 #include "sleepwalk/core/checkpoint.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
-#include "sleepwalk/net/checksum.h"
 #include "sleepwalk/sim/world.h"
 #include "sleepwalk/storage/bytes.h"
+#include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/storage/file.h"
 
 namespace sleepwalk {
@@ -43,9 +46,6 @@ core::SupervisorConfig ConfigFor(storage::Env& env, int keep = 3) {
   core::SupervisorConfig config;
   config.checkpoint_path = kPath;
   config.checkpoint_keep = keep;
-  // This suite probes the v2 row format specifically (v3 containers get
-  // the same treatment in checkpoint_columnar_test.cc).
-  config.checkpoint_format = core::kCheckpointVersion;
   config.env = &env;
   return config;
 }
@@ -88,74 +88,33 @@ void PatchU32(std::vector<std::uint8_t>& bytes, std::size_t offset,
   }
 }
 
-TEST(CheckpointRobustness, DecodeReencodeIsByteIdentical) {
-  storage::MemEnv env;
-  const auto outcome = RunOnce(SmallWorld(), env);
-  ASSERT_GT(outcome.stats.checkpoints_written, 0u);
-
-  const auto bytes = FileBytes(env, kPath);
-  core::CheckpointLoadReport report;
-  const auto checkpoint = core::DecodeCheckpoint(bytes, &report);
-  ASSERT_TRUE(checkpoint.has_value()) << report.detail;
-  EXPECT_EQ(report.version, core::kCheckpointVersion);
-  EXPECT_EQ(report.corrupt_sections, 0);
-  EXPECT_EQ(report.generation, checkpoint->stats.checkpoints_written);
-  EXPECT_EQ(core::EncodeCheckpoint(*checkpoint), bytes);
-}
-
-TEST(CheckpointRobustness, EverySingleByteCorruptionIsDetected) {
-  storage::MemEnv env;
-  RunOnce(SmallWorld(), env);
-  const auto bytes = FileBytes(env, kPath);
-  ASSERT_FALSE(bytes.empty());
-
-  auto corrupted = bytes;
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    corrupted[i] = bytes[i] ^ 0xA5;
-    core::CheckpointLoadReport report;
-    EXPECT_FALSE(core::DecodeCheckpoint(corrupted, &report).has_value())
-        << "flip at byte " << i << " went undetected";
-    EXPECT_TRUE(report.bad_magic || report.version_refused ||
-                report.corrupt_sections > 0)
-        << "flip at byte " << i << " reported nothing";
-    corrupted[i] = bytes[i];
-  }
-}
-
-TEST(CheckpointRobustness, EveryTruncationIsDetected) {
-  storage::MemEnv env;
-  RunOnce(SmallWorld(), env);
-  const auto bytes = FileBytes(env, kPath);
-  ASSERT_FALSE(bytes.empty());
-
-  for (std::size_t length = 0; length < bytes.size(); ++length) {
-    const std::span<const std::uint8_t> prefix{bytes.data(), length};
-    EXPECT_FALSE(core::DecodeCheckpoint(prefix).has_value())
-        << "truncation to " << length << " bytes went undetected";
-  }
-}
-
 TEST(CheckpointRobustness, MixedVersionMetaPayloadIsRefused) {
   storage::MemEnv env;
   RunOnce(SmallWorld(), env);
-  auto bytes = FileBytes(env, kPath);
+  const auto file = FileBytes(env, kPath);
 
-  // Splice: rewrite the META payload's format version to 1 and fix the
-  // section CRC so only the version check can object. Layout: magic(4) +
-  // header(24) + header_crc(4), then META's frame id(4) + len(8) + crc(4).
-  constexpr std::size_t kFrame = 4 + 24 + 4;
-  constexpr std::size_t kPayload = kFrame + 4 + 8 + 4;
-  std::uint64_t meta_len = 0;
-  for (int i = 0; i < 8; ++i) {
-    meta_len |= static_cast<std::uint64_t>(bytes[kFrame + 4 + i]) << (8 * i);
+  // Splice: re-frame the container with the META column's format
+  // version rewritten to 2 (the writer recomputes every CRC), so only
+  // the version check can object.
+  storage::ColumnarReader reader;
+  ASSERT_TRUE(reader.Parse(file, "SLCK").ok());
+  storage::ColumnarWriter writer{"SLCK", reader.kind(), reader.fingerprint(),
+                                 reader.generation()};
+  std::vector<std::uint8_t> meta;
+  for (const auto& column : reader.columns()) {
+    std::span<const std::uint8_t> bytes = column.bytes;
+    if (column.id == 1) {  // META
+      meta.assign(bytes.begin(), bytes.end());
+      PatchU32(meta, 0, 2);
+      bytes = meta;
+    }
+    writer.Add(column.id, column.elem_width, bytes);
   }
-  ASSERT_LE(kPayload + meta_len, bytes.size());
-  PatchU32(bytes, kPayload, 1);  // META format version := 1
-  PatchU32(bytes, kFrame + 12,
-           net::Crc32cOf(std::span{bytes.data() + kPayload, meta_len}));
+  const auto spliced = writer.Finish();
 
   core::CheckpointLoadReport report;
-  EXPECT_FALSE(core::DecodeCheckpoint(bytes, &report).has_value());
+  EXPECT_FALSE(core::DecodeCheckpoint(spliced, &report).has_value());
+  EXPECT_EQ(report.version, core::kCheckpointVersionColumnar);
   EXPECT_TRUE(report.version_refused);
   EXPECT_FALSE(report.bad_magic);
 }
@@ -292,10 +251,9 @@ TEST(CheckpointRobustness, FingerprintMismatchIsSilentlySkipped) {
   EXPECT_FALSE(env.Exists(std::string{kPath} + ".corrupt"));
 }
 
-TEST(CheckpointRobustness, V1FilesAreRefused) {
-  // A well-formed SLCK v1 file (the unframed, checksum-free stream
-  // format). Its decoder is retired: the version check must refuse it
-  // up front, not hand its bytes to the v2 or v3 parser.
+/// A well-formed SLCK v1 file (the unframed, checksum-free stream
+/// format).
+std::vector<std::uint8_t> V1Checkpoint() {
   storage::ByteWriter out;
   const char magic[4] = {'S', 'L', 'C', 'K'};
   out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(magic), 4});
@@ -318,25 +276,37 @@ TEST(CheckpointRobustness, V1FilesAreRefused) {
   out.Put(std::uint64_t{6});        // next_block
   out.Put(std::uint8_t{0});         // has_inflight
   out.Put(std::uint64_t{0});        // transport bytes
-  const auto bytes = out.Take();
+  return out.Take();
+}
 
-  core::CheckpointLoadReport report;
-  EXPECT_FALSE(core::DecodeCheckpoint(bytes, &report).has_value());
-  EXPECT_FALSE(report.bad_magic);
-  EXPECT_EQ(report.version, 1u);
-  EXPECT_TRUE(report.version_refused);
-  EXPECT_EQ(report.corrupt_sections, 0);
-  EXPECT_EQ(report.generation, 0u) << "v1 header fields were parsed";
+TEST(CheckpointRobustness, V1FilesAreRefused) {
+  // Retired formats: SLCK v1 and v2 (the latter a fixture frozen from
+  // the last v2 writer, fingerprint 0xfeed, generation 7). Their
+  // decoders are gone: the version check must refuse each up front, not
+  // hand its bytes to the v3 parser.
+  const std::vector<std::pair<std::uint32_t, std::vector<std::uint8_t>>>
+      retired = {{1, V1Checkpoint()},
+                 {2, testing_fixture::ReadFixture("checkpoint_v2.slck")}};
+  for (const auto& [version, bytes] : retired) {
+    SCOPED_TRACE("SLCK v" + std::to_string(version));
+    core::CheckpointLoadReport report;
+    EXPECT_FALSE(core::DecodeCheckpoint(bytes, &report).has_value());
+    EXPECT_FALSE(report.bad_magic);
+    EXPECT_EQ(report.version, version);
+    EXPECT_TRUE(report.version_refused);
+    EXPECT_EQ(report.corrupt_sections, 0);
+    EXPECT_EQ(report.generation, 0u) << "retired header fields were parsed";
 
-  // Through the store the refused file is quarantined like any other
-  // unreadable candidate, and the campaign starts fresh.
-  storage::MemEnv env;
-  ASSERT_TRUE(storage::AtomicWrite(env, kPath, bytes).ok());
-  core::CheckpointStore store{env, kPath, 3};
-  core::RecoveryEvents events;
-  EXPECT_FALSE(store.Load(0xfeed, events).has_value());
-  EXPECT_EQ(events.generations_discarded, 1u);
-  EXPECT_TRUE(env.Exists(std::string{kPath} + ".corrupt"));
+    // Through the store the refused file is quarantined like any other
+    // unreadable candidate, and the campaign starts fresh.
+    storage::MemEnv env;
+    ASSERT_TRUE(storage::AtomicWrite(env, kPath, bytes).ok());
+    core::CheckpointStore store{env, kPath, 3};
+    core::RecoveryEvents events;
+    EXPECT_FALSE(store.Load(0xfeed, events).has_value());
+    EXPECT_EQ(events.generations_discarded, 1u);
+    EXPECT_TRUE(env.Exists(std::string{kPath} + ".corrupt"));
+  }
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // SLPW v3 columnar datasets (core/dataset_columnar.h): the format must
 // round-trip losslessly, re-analyze bitwise identically to the framed
-// v2 layout, map zero-copy through storage::Env, and fail closed on
-// every forged byte, truncation, wrong kind, and hostile offset table.
+// v2 layout (read from a fixture frozen from the last v2 writer over
+// TestAnalyses(), see fixtures/make_v2_fixtures.cc), map zero-copy
+// through storage::Env, and fail closed on every forged byte,
+// truncation, wrong kind, and hostile offset table.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -10,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "fixture.h"
 #include "sleepwalk/core/dataset.h"
 #include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/campaign_ledger.h"
@@ -55,6 +58,8 @@ BlockAnalysis MakeAnalysis(std::uint32_t index, int samples,
   return analysis;
 }
 
+/// The v2 fixture's content (encoded with round_seconds 660 and
+/// epoch_sec 4242).
 std::vector<BlockAnalysis> TestAnalyses() {
   std::vector<BlockAnalysis> analyses;
   analyses.push_back(MakeAnalysis(100, 280, true));
@@ -70,10 +75,14 @@ std::vector<BlockAnalysis> TestAnalyses() {
   return analyses;
 }
 
+std::vector<std::uint8_t> V2Bytes() {
+  return testing_fixture::ReadFixture("dataset_v2_columnar.slpw");
+}
+
 TEST(DatasetColumnar, RoundTripMaterializesTheV2DatasetExactly) {
   const auto analyses = TestAnalyses();
   const auto v3 = EncodeDatasetColumnar(analyses, 660, 4242);
-  const auto v2 = EncodeDataset(analyses, 660, 4242);
+  const auto v2 = V2Bytes();
 
   ColumnarDatasetView view;
   ASSERT_TRUE(ParseDatasetColumnar(v3, view).ok());
@@ -117,12 +126,12 @@ TEST(DatasetColumnar, DecodeDatasetSniffsV3) {
 TEST(DatasetColumnar, ReanalysisIsBitwiseIdenticalAcrossFormats) {
   const auto analyses = TestAnalyses();
   const auto v3 = EncodeDatasetColumnar(analyses, 660, 0);
-  const auto v2 = EncodeDataset(analyses, 660, 0);
 
   ColumnarDatasetView view;
   ASSERT_TRUE(ParseDatasetColumnar(v3, view).ok());
-  const auto dataset = DecodeDataset(v2);
+  const auto dataset = DecodeDataset(V2Bytes());
   ASSERT_TRUE(dataset.has_value());
+  ASSERT_EQ(dataset->blocks.size(), analyses.size());
 
   AnalysisScratch scratch;
   BlockAnalysis from_view;
@@ -270,7 +279,8 @@ TEST(DatasetColumnar, MapsZeroCopyThroughAnEnv) {
 
 TEST(DatasetColumnar, ParallelReanalysisCountsMatchTheV2Pipeline) {
   // ReanalyzeDatasetColumnar (O(workers) memory, claim-counter sweep)
-  // must report exactly the counts of the v2 path: ReanalyzeDataset +
+  // must report exactly the counts of the per-block path every v2 file
+  // takes: ReanalyzeDataset over the materialized Dataset +
   // ClassifyAnalysis per block — at any worker count.
   std::vector<BlockAnalysis> analyses;
   for (std::uint32_t i = 0; i < 12; ++i) {
@@ -279,11 +289,10 @@ TEST(DatasetColumnar, ParallelReanalysisCountsMatchTheV2Pipeline) {
   }
   analyses.push_back(MakeAnalysis(9000, 8, true));  // too short: skipped
   const auto v3 = EncodeDatasetColumnar(analyses, 660, 0);
-  const auto v2 = EncodeDataset(analyses, 660, 0);
 
   ColumnarDatasetView view;
   ASSERT_TRUE(ParseDatasetColumnar(v3, view).ok());
-  const auto dataset = DecodeDataset(v2);
+  const auto dataset = DecodeDataset(v3);
   ASSERT_TRUE(dataset.has_value());
 
   const auto reference = ReanalyzeDataset(*dataset, {}, 1);
@@ -294,7 +303,8 @@ TEST(DatasetColumnar, ParallelReanalysisCountsMatchTheV2Pipeline) {
   ASSERT_GT(expect.probed(), 0);
   ASSERT_GT(expect.strict + expect.relaxed, 0);
 
-  // The v2 path is itself worker-count independent, block for block.
+  // The per-block path is itself worker-count independent, block for
+  // block.
   const auto fanned = ReanalyzeDataset(*dataset, {}, 4);
   ASSERT_EQ(fanned.size(), reference.size());
   for (std::size_t i = 0; i < reference.size(); ++i) {

@@ -1,7 +1,10 @@
-// SLPW v2 robustness: every single-byte corruption and truncation must
-// fail the strict loader; the tolerant loader must salvage the intact
-// records and count the damaged ones; v1 files must still read; foreign
-// versions must be refused.
+// SLPW v2 robustness. Nothing writes v2 any more, but datasets made
+// before v3 became the only writer are v2, so the reader stays: every
+// single-byte corruption and truncation must fail the strict loader;
+// the tolerant loader must salvage the intact records and count the
+// damaged ones; v1 files and foreign versions must be refused. The v2
+// input is a fixture frozen from the last v2 writer (fixtures/
+// make_v2_fixtures.cc) over TestAnalyses() below.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,8 +12,8 @@
 #include <string>
 #include <vector>
 
+#include "fixture.h"
 #include "sleepwalk/core/dataset.h"
-#include "sleepwalk/net/checksum.h"
 #include "sleepwalk/storage/bytes.h"
 
 namespace sleepwalk::core {
@@ -35,6 +38,8 @@ BlockAnalysis MakeAnalysis(std::uint32_t index, int samples) {
   return analysis;
 }
 
+/// The fixture's content: what make_v2_fixtures.cc encoded (with
+/// round_seconds 660 and epoch_sec 42).
 std::vector<BlockAnalysis> TestAnalyses() {
   std::vector<BlockAnalysis> analyses;
   for (std::uint32_t i = 0; i < 5; ++i) {
@@ -44,21 +49,41 @@ std::vector<BlockAnalysis> TestAnalyses() {
   return analyses;
 }
 
+std::vector<std::uint8_t> V2Bytes() {
+  return testing_fixture::ReadFixture("dataset_v2_robustness.slpw");
+}
+
 TEST(DatasetRobustness, StrictDecodeReportsCleanV2) {
-  const auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  const auto analyses = TestAnalyses();
   DatasetLoadReport report;
-  const auto dataset = DecodeDataset(bytes, &report);
+  const auto dataset = DecodeDataset(V2Bytes(), &report);
   ASSERT_TRUE(dataset.has_value()) << report.detail;
   EXPECT_EQ(report.version, kDatasetVersion);
   EXPECT_EQ(report.corrupt_records, 0);
   EXPECT_EQ(report.records_expected, 5u);
-  EXPECT_EQ(dataset->blocks.size(), 5u);
   EXPECT_EQ(dataset->round_seconds, 660);
   EXPECT_EQ(dataset->epoch_sec, 42);
+  ASSERT_EQ(dataset->blocks.size(), analyses.size());
+  for (std::size_t i = 0; i < analyses.size(); ++i) {
+    const auto& stored = dataset->blocks[i];
+    const auto& want = analyses[i];
+    EXPECT_EQ(stored.block.Index(), want.block.Index()) << "block " << i;
+    EXPECT_EQ(stored.ever_active, want.ever_active) << "block " << i;
+    EXPECT_EQ(stored.probed, want.probed) << "block " << i;
+    EXPECT_EQ(stored.series.first_round, want.short_series.first_round);
+    ASSERT_EQ(stored.series.size(), want.short_series.size());
+    for (std::size_t k = 0; k < stored.series.size(); ++k) {
+      // v2 stores f32: the sample must be the f32 narrowing, exactly.
+      EXPECT_EQ(stored.series.values[k],
+                static_cast<double>(
+                    static_cast<float>(want.short_series.values[k])))
+          << "block " << i << " sample " << k;
+    }
+  }
 }
 
 TEST(DatasetRobustness, EverySingleByteCorruptionFailsStrictDecode) {
-  const auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  const auto bytes = V2Bytes();
   auto corrupted = bytes;
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     corrupted[i] = bytes[i] ^ 0xA5;
@@ -73,7 +98,7 @@ TEST(DatasetRobustness, EverySingleByteCorruptionFailsStrictDecode) {
 }
 
 TEST(DatasetRobustness, EveryTruncationFailsStrictDecode) {
-  const auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  const auto bytes = V2Bytes();
   for (std::size_t length = 0; length < bytes.size(); ++length) {
     const std::span<const std::uint8_t> prefix{bytes.data(), length};
     EXPECT_FALSE(DecodeDataset(prefix).has_value())
@@ -83,7 +108,7 @@ TEST(DatasetRobustness, EveryTruncationFailsStrictDecode) {
 
 TEST(DatasetRobustness, TolerantDecodeSalvagesAroundOneBadRecord) {
   const auto analyses = TestAnalyses();
-  auto bytes = EncodeDataset(analyses, 660, 42);
+  auto bytes = V2Bytes();
   // Flip a payload byte of record 0 (offset +8 skips its len and crc,
   // +2 lands inside the block index field).
   bytes[kFirstRecord + 8 + 2] ^= 0xFF;
@@ -107,7 +132,7 @@ TEST(DatasetRobustness, TolerantDecodeSalvagesAroundOneBadRecord) {
 
 TEST(DatasetRobustness, TolerantDecodeStopsAtABrokenFrameChain) {
   const auto analyses = TestAnalyses();
-  const auto bytes = EncodeDataset(analyses, 660, 42);
+  const auto bytes = V2Bytes();
   // Cut into the last record's payload: its frame is no longer whole,
   // and nothing after it is locatable.
   const std::span<const std::uint8_t> truncated{bytes.data(),
@@ -120,7 +145,7 @@ TEST(DatasetRobustness, TolerantDecodeStopsAtABrokenFrameChain) {
 }
 
 TEST(DatasetRobustness, TolerantDecodeStillRefusesABrokenHeader) {
-  auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  auto bytes = V2Bytes();
   bytes[9] ^= 0x10;  // inside round_seconds, under the header CRC
   DatasetLoadReport report;
   EXPECT_FALSE(DecodeDatasetTolerant(bytes, &report).has_value());
@@ -128,7 +153,7 @@ TEST(DatasetRobustness, TolerantDecodeStillRefusesABrokenHeader) {
 }
 
 TEST(DatasetRobustness, ForeignVersionIsRefusedNotMisread) {
-  auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  auto bytes = V2Bytes();
   bytes[4] = 9;  // version u32 LSB: 2 -> 9 (no such format)
   DatasetLoadReport report;
   EXPECT_FALSE(DecodeDataset(bytes, &report).has_value());
@@ -140,15 +165,17 @@ TEST(DatasetRobustness, V2BodyMasqueradingAsV3IsRefused) {
   // Version says columnar, the body is framed v2: the columnar parser
   // must fail closed (header CRC covers the version field), never
   // misread frames as a column directory.
-  auto bytes = EncodeDataset(TestAnalyses(), 660, 42);
+  auto bytes = V2Bytes();
   bytes[4] = 3;
   DatasetLoadReport report;
   EXPECT_FALSE(DecodeDataset(bytes, &report).has_value());
   EXPECT_GE(report.corrupt_records, 1);
 }
 
-TEST(DatasetRobustness, V1FilesStillRead) {
-  // Hand-built v1: unframed records, no checksums.
+TEST(DatasetRobustness, V1FilesAreRefused) {
+  // A well-formed SLPW v1 file (unframed records, no checksums). Its
+  // reader is retired: the version check must refuse it up front, in
+  // both loaders, rather than hand its bytes to the v2 record walk.
   storage::ByteWriter out;
   const char magic[4] = {'S', 'L', 'P', 'W'};
   out.PutBytes(std::span{reinterpret_cast<const std::uint8_t*>(magic), 4});
@@ -167,23 +194,15 @@ TEST(DatasetRobustness, V1FilesStillRead) {
   const auto bytes = out.Take();
 
   DatasetLoadReport report;
-  const auto dataset = DecodeDataset(bytes, &report);
-  ASSERT_TRUE(dataset.has_value()) << report.detail;
+  EXPECT_FALSE(DecodeDataset(bytes, &report).has_value());
+  EXPECT_FALSE(report.bad_magic);
   EXPECT_EQ(report.version, 1u);
-  ASSERT_EQ(dataset->blocks.size(), 1u);
-  EXPECT_EQ(dataset->blocks[0].block.Index(), 4242u);
-  EXPECT_EQ(dataset->blocks[0].ever_active, 77);
-  EXPECT_TRUE(dataset->blocks[0].probed);
-  EXPECT_EQ(dataset->blocks[0].series.first_round, 2);
-  ASSERT_EQ(dataset->blocks[0].series.size(), 3u);
-  EXPECT_DOUBLE_EQ(dataset->blocks[0].series.values[1], 0.5);
-
-  // v1 truncation is still a detected failure.
-  const std::span<const std::uint8_t> truncated{bytes.data(),
-                                                bytes.size() - 2};
-  DatasetLoadReport bad;
-  EXPECT_FALSE(DecodeDataset(truncated, &bad).has_value());
-  EXPECT_GE(bad.corrupt_records, 1);
+  EXPECT_TRUE(report.version_refused);
+  EXPECT_EQ(report.corrupt_records, 0);
+  EXPECT_EQ(report.records_expected, 0u) << "v1 header fields were parsed";
+  DatasetLoadReport tolerant;
+  EXPECT_FALSE(DecodeDatasetTolerant(bytes, &tolerant).has_value());
+  EXPECT_TRUE(tolerant.version_refused);
 }
 
 }  // namespace

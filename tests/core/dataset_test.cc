@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/sim/block.h"
 
 namespace sleepwalk::core {
@@ -12,6 +13,15 @@ namespace {
 
 std::string TempPath(const char* name) {
   return ::testing::TempDir() + "/" + name;
+}
+
+bool WriteDataset(const std::string& path,
+                  std::span<const BlockAnalysis> analyses,
+                  std::int64_t round_seconds = 660,
+                  std::int64_t epoch_sec = 0) {
+  return WriteDatasetColumnar(storage::RealEnvInstance(), path, analyses,
+                              round_seconds, epoch_sec)
+      .ok();
 }
 
 BlockAnalysis MakeAnalysis(std::uint32_t index, int samples) {

@@ -15,17 +15,15 @@
 #include <vector>
 
 #include "sleepwalk/core/checkpoint.h"
-#include "sleepwalk/core/dataset.h"
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/faults/faulty_transport.h"
-#include "sleepwalk/net/checksum.h"
 #include "sleepwalk/obs/context.h"
 #include "sleepwalk/obs/log.h"
 #include "sleepwalk/obs/metrics.h"
 #include "sleepwalk/obs/trace.h"
 #include "sleepwalk/sim/world.h"
-#include "sleepwalk/storage/bytes.h"
 #include "sleepwalk/storage/columnar.h"
 #include "sleepwalk/storage/file.h"
 
@@ -102,19 +100,11 @@ std::string FileBytes(const std::string& path) {
   return buffer.str();
 }
 
-std::string DatasetBytes(const core::CampaignOutcome& outcome,
-                         const core::SupervisorConfig& config,
-                         const std::string& tag) {
-  const std::string path = testing::TempDir() + "/pexec_" + tag + ".slpw";
-  if (!core::WriteDataset(path, outcome.result.analyses,
-                          config.analyzer.schedule.round_seconds,
-                          config.analyzer.schedule.epoch_sec)) {
-    ADD_FAILURE() << "cannot write dataset " << path;
-    return {};
-  }
-  auto bytes = FileBytes(path);
-  std::remove(path.c_str());
-  return bytes;
+std::vector<std::uint8_t> DatasetBytes(const core::CampaignOutcome& outcome,
+                                       const core::SupervisorConfig& config) {
+  return core::EncodeDatasetColumnar(outcome.result.analyses,
+                                     config.analyzer.schedule.round_seconds,
+                                     config.analyzer.schedule.epoch_sec);
 }
 
 void ExpectStatsEqual(const report::ResilienceStats& a,
@@ -158,7 +148,7 @@ TEST(ParallelExecutor, WorkersOneVsEightByteIdentical) {
     auto outcome =
         core::RunParallelCampaign(TargetsOf(world), FactoryFor(world, plan),
                                   220, config, parallel);
-    auto dataset = DatasetBytes(outcome, config, tag);
+    auto dataset = DatasetBytes(outcome, config);
     auto checkpoint = FileBytes(config.checkpoint_path);
     std::remove(config.checkpoint_path.c_str());
     return std::tuple{std::move(outcome), std::move(dataset),
@@ -179,14 +169,12 @@ TEST(ParallelExecutor, WorkersOneVsEightByteIdentical) {
   }
 }
 
-/// FNV-1a over the encoded SLPW dataset and the supervisor-owned
+/// FNV-1a over the encoded SLPW v3 dataset and the supervisor-owned
 /// ResilienceStats counters (everything but probe accounting, which the
 /// retired sequential supervisor left to its caller).
 std::uint64_t OutcomeDigest(const core::CampaignOutcome& outcome,
                             const core::SupervisorConfig& config) {
-  const auto dataset = core::EncodeDataset(
-      outcome.result.analyses, config.analyzer.schedule.round_seconds,
-      config.analyzer.schedule.epoch_sec);
+  const auto dataset = DatasetBytes(outcome, config);
   std::uint64_t hash = 0xcbf29ce484222325ULL;
   const auto mix = [&hash](const void* data, std::size_t size) {
     const auto* bytes = static_cast<const std::uint8_t*>(data);
@@ -208,11 +196,15 @@ std::uint64_t OutcomeDigest(const core::CampaignOutcome& outcome,
 
 // OutcomeDigest of the retired sequential supervisor's run of this
 // campaign (TestWorld(), TestFaults, TestConfig, 220 rounds, one
-// FaultyTransport over site seed 9), recorded before that engine was
-// deleted. The engine that replaced it must reproduce it at any worker
-// count; a moved digest is a behaviour change to explain, not a constant
-// to re-pin.
-constexpr std::uint64_t kSequentialSupervisorDigest = 0x9c0cfd564d4e4bfcULL;
+// FaultyTransport over site seed 9). It was recorded over SLPW v2 bytes
+// (0x9c0cfd564d4e4bfc) before that engine was deleted; when the v2
+// writer went, the same outcome's digest over SLPW v3 bytes was taken at
+// the last commit with that writer (c04a684), whose engine reproduced
+// the v2 value, so the chain of equalities back to the retired engine is
+// unbroken. The
+// engine must reproduce it at any worker count; a moved digest is a
+// behaviour change to explain, not a constant to re-pin.
+constexpr std::uint64_t kSequentialSupervisorDigest = 0x2441ec6e706b98eeULL;
 
 TEST(ParallelExecutor, MatchesSequentialSupervisor) {
   const auto world = TestWorld();
@@ -315,8 +307,8 @@ TEST(ParallelExecutor, KillAndResumeAtEightWorkersIsByteIdentical) {
   EXPECT_GE(slices, 3);
   EXPECT_TRUE(outcome.resumed);
   EXPECT_TRUE(outcome.stats.resumed_from_checkpoint);
-  EXPECT_EQ(DatasetBytes(reference, config, "ref"),
-            DatasetBytes(outcome, config, "res"));
+  EXPECT_EQ(DatasetBytes(reference, config),
+            DatasetBytes(outcome, config));
   // Only commits mutate stats and every slice commits an exact block
   // prefix, so the sliced totals match the uninterrupted run except for
   // the checkpoint writes the reference never performed.
@@ -330,31 +322,6 @@ TEST(ParallelExecutor, KillAndResumeAtEightWorkersIsByteIdentical) {
 // snapshot. The current writers emit {0} and nothing.
 const std::vector<std::uint8_t> kRetiredInflight = {1, 0xde, 0xad, 0xbe, 0xef};
 const std::vector<std::uint8_t> kRetiredTransport = {42, 0, 0, 0, 0, 0, 0, 0};
-
-/// Re-frames an SLCK v2 file with the retired INFLIGHT (section 4) and
-/// TRANSPORT (section 5) payloads, CRCs recomputed; every other section
-/// and the header are kept byte for byte.
-std::vector<std::uint8_t> RetiredV2(std::span<const std::uint8_t> file) {
-  constexpr std::size_t kHeader = 4 + 24 + 4;  // magic, fields, CRC
-  storage::ByteWriter out;
-  out.PutBytes(file.first(kHeader));
-  storage::ByteReader in{file.subspan(kHeader)};
-  while (in.remaining() > 0) {
-    std::uint32_t id = 0;
-    std::uint64_t length = 0;
-    std::uint32_t crc = 0;
-    EXPECT_TRUE(in.Get(id) && in.Get(length) && in.Get(crc));
-    std::span<const std::uint8_t> payload = in.Rest().first(length);
-    in.Skip(length);
-    if (id == 4) payload = kRetiredInflight;
-    if (id == 5) payload = kRetiredTransport;
-    out.Put(id);
-    out.Put(static_cast<std::uint64_t>(payload.size()));
-    out.Put(net::Crc32cOf(payload));
-    out.PutBytes(payload);
-  }
-  return out.Take();
-}
 
 /// Rebuilds an SLCK v3 container through storage::ColumnarWriter with
 /// the retired INFLIGHT (column 3) and TRANSPORT (column 4) blobs.
@@ -385,42 +352,34 @@ TEST(ParallelExecutor, RefusesMidBlockSequentialCheckpoint) {
   const auto reference = core::RunParallelCampaign(
       TargetsOf(world), FactoryFor(world, plan), 220, clean_config,
       parallel);
-  const auto want = DatasetBytes(reference, clean_config, "retired_ref");
+  const auto want = DatasetBytes(reference, clean_config);
 
-  for (const std::uint32_t format :
-       {core::kCheckpointVersion, core::kCheckpointVersionColumnar}) {
-    SCOPED_TRACE("SLCK v" + std::to_string(format));
-    storage::MemEnv env;
-    auto config = TestConfig();
-    config.env = &env;
-    config.checkpoint_path = "/campaign/retired.ck";
-    config.checkpoint_format = format;
-    config.stop_after_rounds = 3 * 220;  // a three-block prefix
-    const auto partial = core::RunParallelCampaign(
-        TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
-    ASSERT_TRUE(partial.stopped_early);
+  storage::MemEnv env;
+  auto config = TestConfig();
+  config.env = &env;
+  config.checkpoint_path = "/campaign/retired.ck";
+  config.stop_after_rounds = 3 * 220;  // a three-block prefix
+  const auto partial = core::RunParallelCampaign(
+      TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
+  ASSERT_TRUE(partial.stopped_early);
 
-    std::vector<std::uint8_t> prefix;
-    ASSERT_TRUE(env.ReadAll(config.checkpoint_path, prefix).ok());
-    const auto retired = format == core::kCheckpointVersion
-                             ? RetiredV2(prefix)
-                             : RetiredV3(prefix);
-    core::CheckpointLoadReport report;
-    const auto decoded = core::DecodeCheckpoint(retired, &report);
-    ASSERT_TRUE(decoded.has_value()) << report.detail;
-    EXPECT_EQ(report.version, format);
-    EXPECT_TRUE(decoded->has_inflight);
-    EXPECT_EQ(decoded->transport_state, kRetiredTransport);
-    EXPECT_EQ(decoded->next_block, 3u);
-    ASSERT_TRUE(
-        storage::AtomicWrite(env, config.checkpoint_path, retired).ok());
+  std::vector<std::uint8_t> prefix;
+  ASSERT_TRUE(env.ReadAll(config.checkpoint_path, prefix).ok());
+  const auto retired = RetiredV3(prefix);
+  core::CheckpointLoadReport report;
+  const auto decoded = core::DecodeCheckpoint(retired, &report);
+  ASSERT_TRUE(decoded.has_value()) << report.detail;
+  EXPECT_EQ(report.version, core::kCheckpointVersionColumnar);
+  EXPECT_TRUE(decoded->has_inflight);
+  EXPECT_EQ(decoded->transport_state, kRetiredTransport);
+  EXPECT_EQ(decoded->next_block, 3u);
+  ASSERT_TRUE(storage::AtomicWrite(env, config.checkpoint_path, retired).ok());
 
-    config.stop_after_rounds = 0;
-    const auto outcome = core::RunParallelCampaign(
-        TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
-    EXPECT_FALSE(outcome.resumed);
-    EXPECT_EQ(DatasetBytes(outcome, config, "retired_out"), want);
-  }
+  config.stop_after_rounds = 0;
+  const auto outcome = core::RunParallelCampaign(
+      TargetsOf(world), FactoryFor(world, plan), 220, config, parallel);
+  EXPECT_FALSE(outcome.resumed);
+  EXPECT_EQ(DatasetBytes(outcome, config), want);
 }
 
 TEST(ParallelExecutor, HeartbeatCheckpointEtaIsZeroExactlyOnWrites) {

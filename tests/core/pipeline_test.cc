@@ -96,9 +96,9 @@ TEST(RunCampaign, ProgressCallbackInvoked) {
   std::size_t calls = 0;
   AnalyzerConfig config;
   RunCampaign(std::move(targets), transport, 300, config, 1,
-              [&](std::size_t done, std::size_t total) {
+              [&](const CampaignProgress& progress) {
                 ++calls;
-                EXPECT_LE(done, total);
+                EXPECT_LE(progress.blocks_done, progress.blocks_total);
               });
   EXPECT_EQ(calls, 1u);
 }

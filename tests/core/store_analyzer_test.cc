@@ -2,8 +2,7 @@
 // recorded samples, the verdict columns AnalyzeStore writes must be
 // bitwise identical to the scalar BlockAnalyzer::Finish pipeline
 // projected through VerdictOf — including after the series ring has
-// wrapped, at any worker count. The Goertzel screen mode may only ever
-// downgrade a verdict to non-diurnal, never invent a diurnal one.
+// wrapped, at any worker count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -220,7 +219,6 @@ TEST(StoreAnalyzer, SweepMatchesScalarFinishBitwise) {
   const auto stats = core::AnalyzeStore(store, StoreAnalyzerConfig{}, 1);
   EXPECT_EQ(stats.analyzed, kBlocks);
   EXPECT_EQ(stats.classified, kBlocks);
-  EXPECT_EQ(stats.screened_out, 0u);
   ExpectVerdictColumnsMatch(store, expected);
 }
 
@@ -327,40 +325,6 @@ TEST(StoreAnalyzer, UnprobedBlocksAreSkippedNotClassified) {
   EXPECT_EQ(stats.classified, 0u) << "8 samples is far short of 2 days";
   EXPECT_EQ(store.flags()[1] & core::kBlockFlagProbed, 0);
   EXPECT_NE(store.flags()[0] & core::kBlockFlagProbed, 0);
-}
-
-TEST(StoreAnalyzer, GoertzelScreenOnlyEverDowngradesToNonDiurnal) {
-  // Same samples, screen off vs on: the screen may only replace a
-  // diurnal verdict with non-diurnal (the triaged FFT skip), never the
-  // reverse, and must leave every other column untouched.
-  constexpr std::size_t kBlocks = 48;
-  BlockStore off;
-  BlockStore on;
-  off.Reset(kBlocks, {}, 300);
-  on.Reset(kBlocks, {}, 300);
-  DriveBoth(off, kBlocks, 280, 300, 0xd1a);
-  DriveBoth(on, kBlocks, 280, 300, 0xd1a);
-
-  StoreAnalyzerConfig screened;
-  screened.goertzel_screen = true;
-  const auto stats_off = core::AnalyzeStore(off, StoreAnalyzerConfig{}, 1);
-  const auto stats_on = core::AnalyzeStore(on, screened, 1);
-
-  ASSERT_GT(stats_off.diurnal, 0u)
-      << "synthetic sampler should produce diurnal blocks";
-  EXPECT_EQ(stats_on.analyzed, stats_off.analyzed);
-  EXPECT_EQ(stats_on.classified, stats_off.classified);
-  EXPECT_LE(stats_on.diurnal, stats_off.diurnal);
-  constexpr auto kNonDiurnal =
-      static_cast<std::uint8_t>(core::Diurnality::kNonDiurnal);
-  for (std::size_t i = 0; i < kBlocks; ++i) {
-    if (on.classification()[i] != off.classification()[i]) {
-      EXPECT_EQ(on.classification()[i], kNonDiurnal)
-          << "screen invented a verdict for block " << i;
-    }
-    EXPECT_EQ(on.mean_short()[i], off.mean_short()[i]) << "block " << i;
-    EXPECT_EQ(on.observed_days()[i], off.observed_days()[i]) << "block " << i;
-  }
 }
 
 }  // namespace

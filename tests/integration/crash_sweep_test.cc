@@ -11,10 +11,8 @@
 // write): saves fail and are logged, but the campaign completes and the
 // dataset must not change by a single byte.
 //
-// Both matrices run once per on-disk checkpoint format: SLCK v3 (the
-// columnar container resumed through the zero-copy Env::Map seam, and
-// the SupervisorConfig default) and SLCK v2 (the legacy row-oriented
-// layout) — the durability discipline is format-independent.
+// Checkpoints are SLCK v3 containers, resumed through the zero-copy
+// Env::Map seam; datasets are compared as their SLPW v3 encoding.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "sleepwalk/core/dataset.h"
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/supervisor.h"
 #include "sleepwalk/sim/world.h"
@@ -53,11 +51,10 @@ std::vector<core::BlockTarget> TargetsOf(const sim::SimWorld& world) {
   return targets;
 }
 
-core::SupervisorConfig ConfigFor(storage::Env& env, std::uint32_t format) {
+core::SupervisorConfig ConfigFor(storage::Env& env) {
   core::SupervisorConfig config;
   config.checkpoint_path = kPath;
   config.checkpoint_keep = 3;
-  config.checkpoint_format = format;
   config.env = &env;
   return config;
 }
@@ -76,28 +73,28 @@ class OwningSimChain final : public core::ShardChain {
 };
 
 core::CampaignOutcome RunWorkers(int workers, const sim::SimWorld& world,
-                                 storage::Env& env, std::uint32_t format) {
+                                 storage::Env& env) {
   core::ParallelConfig parallel;
   parallel.workers = workers;
   const core::ShardFactory factory = [&world](std::size_t) {
     return std::make_unique<OwningSimChain>(world, 5);
   };
   return core::RunParallelCampaign(TargetsOf(world), factory, kRounds,
-                                   ConfigFor(env, format), parallel);
+                                   ConfigFor(env), parallel);
 }
 
 core::CampaignOutcome RunSingle(const sim::SimWorld& world,
-                                storage::Env& env, std::uint32_t format) {
-  return RunWorkers(1, world, env, format);
+                                storage::Env& env) {
+  return RunWorkers(1, world, env);
 }
 
 core::CampaignOutcome RunParallel(const sim::SimWorld& world,
-                                  storage::Env& env, std::uint32_t format) {
-  return RunWorkers(8, world, env, format);
+                                  storage::Env& env) {
+  return RunWorkers(8, world, env);
 }
 
-using Runner = std::function<core::CampaignOutcome(
-    const sim::SimWorld&, storage::Env&, std::uint32_t)>;
+using Runner =
+    std::function<core::CampaignOutcome(const sim::SimWorld&, storage::Env&)>;
 
 std::vector<std::uint8_t> FileBytes(storage::Env& env,
                                     const std::string& path) {
@@ -109,20 +106,20 @@ std::vector<std::uint8_t> FileBytes(storage::Env& env,
 
 std::vector<std::uint8_t> DatasetBytesOf(const core::CampaignOutcome& outcome) {
   const core::SupervisorConfig defaults;
-  return core::EncodeDataset(outcome.result.analyses,
-                             defaults.analyzer.schedule.round_seconds,
-                             defaults.analyzer.schedule.epoch_sec);
+  return core::EncodeDatasetColumnar(outcome.result.analyses,
+                                     defaults.analyzer.schedule.round_seconds,
+                                     defaults.analyzer.schedule.epoch_sec);
 }
 
 /// Counts the storage operations of one uninterrupted run, then crashes
 /// at every single one of them and proves restart convergence.
-void CrashSweep(const Runner& run, std::uint32_t format) {
+void CrashSweep(const Runner& run) {
   const auto world = SweepWorld();
 
   util::FailpointSet counter;  // inert: counts hits, never fires
   storage::MemEnv clean;
   storage::FaultyEnv counted{clean, counter};
-  const auto baseline = run(world, counted, format);
+  const auto baseline = run(world, counted);
   const auto n_ops = counter.total_hits();
   ASSERT_GT(n_ops, 0u) << "campaign performed no storage operations";
 
@@ -141,7 +138,7 @@ void CrashSweep(const Runner& run, std::uint32_t format) {
 
     bool crashed = false;
     try {
-      run(world, env, format);
+      run(world, env);
     } catch (const util::CrashInjected&) {
       crashed = true;
     }
@@ -152,7 +149,7 @@ void CrashSweep(const Runner& run, std::uint32_t format) {
     // "Restart": same disk — tmp litter, half-rotated generations and
     // all — with the failpoints disarmed.
     failpoints.Reset();
-    const auto resumed = run(world, env, format);
+    const auto resumed = run(world, env);
     EXPECT_EQ(FileBytes(disk, kPath), want_checkpoint)
         << "primary checkpoint diverged after crash/restart";
     EXPECT_EQ(DatasetBytesOf(resumed), want_dataset)
@@ -162,33 +159,21 @@ void CrashSweep(const Runner& run, std::uint32_t format) {
   }
 }
 
-TEST(CrashSweep, EveryStorageOpSingleWorker) {
-  CrashSweep(RunSingle, core::kCheckpointVersion);
-}
+TEST(CrashSweep, EveryStorageOpSingleWorker) { CrashSweep(RunSingle); }
 
-TEST(CrashSweep, EveryStorageOpEightWorkers) {
-  CrashSweep(RunParallel, core::kCheckpointVersion);
-}
-
-TEST(CrashSweep, EveryStorageOpSingleWorkerColumnar) {
-  CrashSweep(RunSingle, core::kCheckpointVersionColumnar);
-}
-
-TEST(CrashSweep, EveryStorageOpEightWorkersColumnar) {
-  CrashSweep(RunParallel, core::kCheckpointVersionColumnar);
-}
+TEST(CrashSweep, EveryStorageOpEightWorkers) { CrashSweep(RunParallel); }
 
 /// Non-fatal I/O failure matrix: a failed checkpoint save is logged and
 /// rolled back, never measured. The dataset must be byte-identical to
 /// the failure-free run (checkpoint generation counts legitimately
 /// differ — a failed save is a save not written).
-void ErrorMatrix(const Runner& run, std::uint32_t format) {
+void ErrorMatrix(const Runner& run) {
   const auto world = SweepWorld();
 
   util::FailpointSet counter;
   storage::MemEnv clean;
   storage::FaultyEnv counted{clean, counter};
-  const auto baseline = run(world, counted, format);
+  const auto baseline = run(world, counted);
   const auto n_ops = counter.total_hits();
   ASSERT_GT(n_ops, 2u);
   const auto want_dataset = DatasetBytesOf(baseline);
@@ -204,7 +189,7 @@ void ErrorMatrix(const Runner& run, std::uint32_t format) {
           failpoints));
       storage::MemEnv disk;
       storage::FaultyEnv env{disk, failpoints};
-      const auto outcome = run(world, env, format);
+      const auto outcome = run(world, env);
       EXPECT_FALSE(outcome.resumed);
       EXPECT_EQ(DatasetBytesOf(outcome), want_dataset)
           << "an I/O error leaked into the measurement";
@@ -218,17 +203,9 @@ void ErrorMatrix(const Runner& run, std::uint32_t format) {
   }
 }
 
-TEST(CrashSweep, IoErrorMatrixSingleWorker) {
-  ErrorMatrix(RunSingle, core::kCheckpointVersion);
-}
+TEST(CrashSweep, IoErrorMatrixSingleWorker) { ErrorMatrix(RunSingle); }
 
-TEST(CrashSweep, IoErrorMatrixEightWorkers) {
-  ErrorMatrix(RunParallel, core::kCheckpointVersion);
-}
-
-TEST(CrashSweep, IoErrorMatrixSingleWorkerColumnar) {
-  ErrorMatrix(RunSingle, core::kCheckpointVersionColumnar);
-}
+TEST(CrashSweep, IoErrorMatrixEightWorkers) { ErrorMatrix(RunParallel); }
 
 }  // namespace
 }  // namespace sleepwalk

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "sleepwalk/core/dataset.h"
+#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
 #include "sleepwalk/core/pipeline.h"
 #include "sleepwalk/core/supervisor.h"
@@ -135,7 +136,8 @@ TEST(VerdictDigest, ThirtyFiveDayReanalysisOnTheEvenRealPath) {
     }
     stored.push_back(std::move(analysis));
   }
-  const auto dataset = core::DecodeDataset(core::EncodeDataset(stored));
+  const auto dataset =
+      core::DecodeDataset(core::EncodeDatasetColumnar(stored));
   ASSERT_TRUE(dataset.has_value());
 
   const auto analyses = core::ReanalyzeDataset(*dataset, config, 4);

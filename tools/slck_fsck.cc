@@ -3,12 +3,13 @@
 //   slck_fsck FILE...          check each file, print a one-line verdict
 //   slck_fsck --verbose FILE   add per-file structural detail
 //
-// Understands SLCK (checkpoint) v2/v3 — including v3 block-store
-// snapshots (kind 2); retired v1 checkpoints are reported as
-// undecodable — and SLPW (dataset) v1/v2/v3 — including v3 columnar
-// datasets — by sniffing the magic and, for v3 containers, the kind
-// discriminator. Exit status: 0 when every file decodes intact,
-// 1 when any file is corrupt/truncated/unreadable, 2 on usage errors.
+// Understands SLCK (checkpoint) v3 — including v3 block-store
+// snapshots (kind 2) — and SLPW (dataset) v2/v3 by sniffing the magic
+// and, for v3 containers, the kind discriminator. Retired formats
+// (SLCK v1/v2, SLPW v1) are reported as RETIRED: nothing reads them, so
+// a campaign finding one starts fresh. Exit status: 0 when every file
+// decodes intact, 1 when any file is retired/corrupt/truncated/
+// unreadable, 2 on usage errors.
 // scripts/tier1.sh runs it over freshly written artifacts so a format
 // regression (bad CRC, broken framing) fails the tier-1 gate, and
 // operators can point it at a damaged campaign directory to see which
@@ -40,6 +41,12 @@ bool CheckCheckpoint(const std::vector<std::uint8_t>& bytes,
                      const std::string& path, bool verbose) {
   core::CheckpointLoadReport report;
   const auto checkpoint = core::DecodeCheckpoint(bytes, &report);
+  if (!checkpoint && (report.version == 1 || report.version == 2)) {
+    std::cout << path << ": SLCK v" << report.version
+              << " RETIRED (only v3 checkpoints are read; a campaign "
+                 "finding this file starts fresh)\n";
+    return false;
+  }
   if (!checkpoint) {
     std::cout << path << ": SLCK v" << report.version << " CORRUPT ("
               << (report.detail.empty() ? "undecodable" : report.detail)
@@ -91,10 +98,11 @@ bool CheckStoreSnapshot(const std::vector<std::uint8_t>& bytes,
   return true;
 }
 
-/// Dispatches an SLCK file: v2 (and v3 kind kCheckpointKind) go to
-/// the checkpoint decoder; v3 kind kStoreSnapshotKind to the store
-/// decoder. The kind peek reuses the full ColumnarReader validation so
-/// a damaged header is reported, never mis-dispatched.
+/// Dispatches an SLCK file: v3 kind kCheckpointKind (and any other
+/// version, which it refuses) goes to the checkpoint decoder; v3 kind
+/// kStoreSnapshotKind to the store decoder. The kind peek reuses the
+/// full ColumnarReader validation so a damaged header is reported,
+/// never mis-dispatched.
 bool CheckSlck(const std::vector<std::uint8_t>& bytes,
                const std::string& path, bool verbose) {
   const auto version = storage::PeekContainerVersion(bytes, "SLCK");
@@ -154,6 +162,11 @@ bool CheckDataset(const std::vector<std::uint8_t>& bytes,
   }
   core::DatasetLoadReport report;
   const auto dataset = core::DecodeDataset(bytes, &report);
+  if (!dataset && report.version == 1) {
+    std::cout << path << ": SLPW v1 RETIRED (only v2 and v3 datasets are "
+                         "read)\n";
+    return false;
+  }
   if (!dataset) {
     std::cout << path << ": SLPW v" << report.version << " CORRUPT ("
               << (report.detail.empty() ? "undecodable" : report.detail)
