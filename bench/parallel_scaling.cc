@@ -24,13 +24,11 @@
 // against in CI; regenerate it on quiet multi-core hardware with
 //   SLEEPWALK_BENCH_PARALLEL_OUT=BENCH_parallel.json build/bench/parallel_scaling
 //
-// Scaling expectations are hardware-relative, so the JSON records
-// hw_concurrency — and `hw_source`, because a containerized recording
-// box may expose fewer CPUs than the campaign machines the baseline
-// stands for: SLEEPWALK_BENCH_HW=<n> overrides the detected count
-// (hw_source becomes "env-override") so the committed baseline can
-// state the hardware class its ratios were tuned for. bench_gate.sh
-// refuses baselines recorded with hw_concurrency 1 outright.
+// Scaling expectations are hardware-relative, so the JSON records the
+// hw_concurrency the machine reports (`hw_source` "detected": a baseline
+// states the silicon it ran on, never a hardware class it stands for).
+// bench_gate.sh refuses baselines recorded with hw_concurrency 1, or
+// from any source but detection.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -423,27 +421,13 @@ LargeScale RunLarge() {
   return result;
 }
 
-int BenchHardwareConcurrency(std::string& source) {
-  if (const char* env = std::getenv("SLEEPWALK_BENCH_HW");
-      env != nullptr && *env != '\0') {
-    const int value = std::atoi(env);
-    if (value > 0) {
-      source = "env-override";
-      return value;
-    }
-  }
-  source = "detected";
-  return core::HardwareWorkers();
-}
-
 int Run() {
   bench::PrintHeader(
       "parallel_scaling: multi-scale executor + store throughput",
       "internal CI gate (not a paper figure): N-worker campaigns are "
       "byte-identical and faster, at 400 and 100k blocks");
-  std::string hw_source;
-  const int hw = BenchHardwareConcurrency(hw_source);
-  std::cout << "hw_concurrency " << hw << " (" << hw_source << ")\n";
+  const int hw = core::HardwareWorkers();
+  std::cout << "hw_concurrency " << hw << " (detected)\n";
 
   const auto small = RunSmall();
   const auto large = RunLarge();
@@ -457,7 +441,7 @@ int Run() {
     out << "{\n"
         << "  \"bench\": \"parallel_campaign_scaling\",\n"
         << "  \"hw_concurrency\": " << hw << ",\n"
-        << "  \"hw_source\": \"" << hw_source << "\",\n"
+        << "  \"hw_source\": \"detected\",\n"
         << "  \"scales\": {\n"
         << "    \"small\": {\n"
         << "      \"pipeline\": \"full\",\n"

@@ -10,10 +10,11 @@
 # Absolute throughput is not portable across runners, so the gate is
 # deliberately hardware-calibrated:
 #   * the committed BENCH_parallel.json baseline must itself have been
-#     recorded for multi-core hardware (`hw_concurrency` > 1): a 1-core
-#     baseline can only encode ~1.0 speedup ratios, which would rubber-
-#     stamp any scaling regression forever after — the gate refuses to
-#     run against one and says how to regenerate it;
+#     recorded on multi-core hardware (`hw_concurrency` > 1, as
+#     detected — `hw_source` "detected"): a 1-core baseline can only
+#     encode ~1.0 speedup ratios, which would rubber-stamp any scaling
+#     regression forever after — the gate refuses to run against one and
+#     says how to regenerate it;
 #   * `scales.small.equivalent` and `scales.large.resume_identical` must
 #     be true — an N-worker campaign that is not byte-identical to the
 #     1-worker campaign (or a killed+resumed campaign whose final
@@ -26,8 +27,7 @@
 #     the gate stays honest without false alarms);
 #   * on runners that actually detect >= 8 hardware threads the 8-worker
 #     speedup must reach MIN_SPEEDUP_8V1 at the small scale (the
-#     sharding exists to buy ~linear scaling; on smaller machines — or
-#     when the fresh hw number is an SLEEPWALK_BENCH_HW override — this
+#     sharding exists to buy ~linear scaling; on smaller machines this
 #     is reported but not enforced);
 #   * blocks/sec at both scales must clear a generous cross-machine
 #     floor (MIN_BPS_FRACTION of the committed baseline, enforced only
@@ -122,18 +122,17 @@ base_ckpt = load("BENCH_ckpt.json")
 fresh_ckpt = load(f"{build_dir}/BENCH_ckpt.json")
 
 # 0. Refuse a baseline that cannot express scaling at all. A baseline
-# recorded on (or as) a single-core machine pins every speedup ratio
-# near 1.0, so the drift gates below would wave through any scaling
-# regression, forever. Fail loudly, with the remediation. This also
-# catches the inconsistent-provenance case that actually shipped once:
-# a committed baseline claiming hw_concurrency 1 with hw_source
-# "detected" — i.e. recorded from a 1-core container without the
-# documented SLEEPWALK_BENCH_HW override stating the hardware class.
+# recorded on a single-core machine pins every speedup ratio near 1.0,
+# so the drift gates below would wave through any scaling regression,
+# forever. A baseline must also state the hardware it ran on as
+# detected: one once shipped labelled with a hardware class it was not
+# recorded on. Fail loudly, with the remediation.
 base_hw = int(base_par.get("hw_concurrency", 1))
-if "hw_source" not in base_par:
-    print("bench_gate: committed BENCH_parallel.json lacks hw_source; "
-          "re-record it so the baseline states its hardware provenance",
-          file=sys.stderr)
+if base_par.get("hw_source") != "detected":
+    print("bench_gate: committed BENCH_parallel.json does not state "
+          "detected hardware (hw_source "
+          f"{base_par.get('hw_source')!r}); re-record it on the machine "
+          "it describes", file=sys.stderr)
     sys.exit(1)
 if base_hw <= 1:
     print(f"bench_gate: committed BENCH_parallel.json was recorded with "
@@ -142,12 +141,7 @@ if base_hw <= 1:
           "would mask any future scaling regression.", file=sys.stderr)
     print("bench_gate: regenerate it on a multi-core machine:\n"
           "  SLEEPWALK_BENCH_PARALLEL_OUT=BENCH_parallel.json "
-          "build-release/bench/parallel_scaling\n"
-          "or, when recording from a constrained container that stands in "
-          "for multi-core campaign hardware, state the hardware class "
-          "explicitly:\n"
-          "  SLEEPWALK_BENCH_HW=8 SLEEPWALK_BENCH_PARALLEL_OUT="
-          "BENCH_parallel.json build-release/bench/parallel_scaling",
+          "build-release/bench/parallel_scaling",
           file=sys.stderr)
     sys.exit(1)
 
@@ -179,13 +173,11 @@ if fresh_ratio < floor:
         f"{floor:.3f} (baseline {base_ratio:.3f} - {tolerance_pct}%)")
 
 # 3. Absolute scaling demand, only where the hardware can actually
-# deliver it: an SLEEPWALK_BENCH_HW override on the fresh run describes
-# intent, not silicon, so it never arms this gate.
+# deliver it.
 hw = int(fresh_par.get("hw_concurrency", 1))
-hw_source = fresh_par.get("hw_source", "detected")
 for scale, fresh in (("small", fresh_small), ("large", fresh_large)):
     speedup8 = float(fresh.get("speedup_8v1", 0.0))
-    if hw >= 8 and hw_source == "detected":
+    if hw >= 8:
         print(f"{scale} speedup_8v1: {speedup8:.2f} "
               f"(required >= {min_speedup} on {hw} threads)")
         if speedup8 < min_speedup:
@@ -194,7 +186,7 @@ for scale, fresh in (("small", fresh_small), ("large", fresh_large)):
                 f"{min_speedup} on {hw}-thread runner")
     else:
         print(f"{scale} speedup_8v1: {speedup8:.2f} (informational; "
-              f"runner has {hw} threads, source {hw_source})")
+              f"runner has {hw} threads)")
 
 # 3b. Cross-machine throughput floor at both scales. Absolute blocks/sec
 # is not portable, but a collapse to a quarter of the committed number

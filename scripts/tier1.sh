@@ -138,16 +138,20 @@ if [[ "${1:-}" == "--skip-sanitize" ]]; then
   exit 0
 fi
 
-echo "== tier-1: ASan+UBSan build of the fault/resilience and fft tests =="
+echo "== tier-1: ASan+UBSan build of the fault/resilience, storage and fft tests =="
 # The fft suite rides along because its kernels index raw interleaved
 # re,im buffers, where an off-by-one would read a neighbour silently.
+# The storage and crash-recovery suites ride along because the columnar
+# writer streams borrowed spans: a column that outlived its memory would
+# be a silent read of freed bytes, not a failed assertion.
 cmake -B build-asan -S . \
   -DSLEEPWALK_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "${jobs}" --target faults_test integration_test \
-  crash_sweep_test fft_test
+  crash_sweep_test fft_test storage_test crash_recovery_test
 fft_suites='Bluestein|ChirpIndex|FftRadix2InPlace|Forward|ForwardReal|Goertzel|IsPowerOfTwo|NextPowerOfTwoChecked|Plan|PlanCache|Sizes/FftMatchesNaive|Sizes/GoertzelMatchesFft|Spectrum|SpectrumOptions'
+storage_suites='FailpointParse|Failpoint|MemEnv|DirName|RealEnv|AtomicWrite|FaultyEnv|Columnar|ColumnarWriteTo|EveryStep/AtomicWriteFailure|CheckpointRobustness|CheckpointColumnar|DatasetRobustness'
 ctest --test-dir build-asan --output-on-failure -j "${jobs}" --timeout 600 \
-  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${fft_suites})\\."
+  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${fft_suites}|${storage_suites})\\."
 
 echo "== tier-1: all green =="

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <new>
+#include <utility>
 
 #include "sleepwalk/net/checksum.h"
 #include "sleepwalk/storage/columnar.h"
@@ -401,41 +402,69 @@ std::uint64_t BlockStore::Digest() const noexcept {
   return hash;
 }
 
+namespace {
+
+/// Builds the snapshot's column set and returns use(writer); every
+/// payload is borrowed from the arena. META is three words
+/// {rounds_done, checkpoints_written, series_capacity}; snapshots from
+/// before the series columns carry two (DecodeSnapshot accepts both).
+template <typename Use>
+auto WithSnapshotWriter(const BlockStore& store, std::uint64_t fingerprint,
+                        std::uint64_t rounds_done,
+                        std::uint64_t checkpoints_written, Use&& use) {
+  storage::ColumnarWriter writer(kStoreMagic, kStoreSnapshotKind,
+                                 fingerprint, checkpoints_written);
+  const std::uint64_t meta[3] = {
+      rounds_done, checkpoints_written,
+      static_cast<std::uint64_t>(store.series_capacity())};
+  writer.AddTypedBorrowed<std::uint64_t>(kColMeta, meta);
+  writer.AddTypedBorrowed(kColPrefix, store.prefix_index());
+  writer.AddTypedBorrowed(kColPShort, store.p_short());
+  writer.AddTypedBorrowed(kColTShort, store.t_short());
+  writer.AddTypedBorrowed(kColPLong, store.p_long());
+  writer.AddTypedBorrowed(kColTLong, store.t_long());
+  writer.AddTypedBorrowed(kColDeviation, store.deviation());
+  writer.AddTypedBorrowed(kColRounds, store.rounds());
+  writer.AddTypedBorrowed(kColProbes, store.probes());
+  writer.AddTypedBorrowed(kColPositives, store.positives());
+  writer.AddTypedBorrowed(kColDownRounds, store.down_rounds());
+  writer.AddTypedBorrowed(kColFlags, store.flags());
+  writer.AddTypedBorrowed(kColClassification, store.classification());
+  writer.AddTypedBorrowed(kColEverActive, store.ever_active());
+  writer.AddTypedBorrowed(kColObservedDays, store.observed_days());
+  writer.AddTypedBorrowed(kColMeanShort, store.mean_short());
+  writer.AddTypedBorrowed(kColFinalOperational, store.final_operational());
+  writer.AddTypedBorrowed(kColMeanProbes, store.mean_probes_per_round());
+  if (store.series_capacity() > 0) {
+    writer.AddTypedBorrowed(kColSeriesValue, store.series_values());
+    writer.AddTypedBorrowed(kColSeriesRound, store.series_rounds());
+    writer.AddTypedBorrowed(kColSeriesLen, store.series_len());
+    writer.AddTypedBorrowed(kColSeriesHead, store.series_head());
+  }
+  return use(std::as_const(writer));
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> BlockStore::EncodeSnapshot(
     std::uint64_t fingerprint, std::uint64_t rounds_done,
     std::uint64_t checkpoints_written) const {
-  storage::ColumnarWriter writer(kStoreMagic, kStoreSnapshotKind,
-                                 fingerprint, checkpoints_written);
-  // Three META words since the series columns landed; PR 9 snapshots
-  // carry two (DecodeSnapshot accepts both).
-  const std::uint64_t meta[3] = {
-      rounds_done, checkpoints_written,
-      static_cast<std::uint64_t>(series_capacity_)};
-  writer.AddTypedBorrowed<std::uint64_t>(kColMeta, meta);
-  writer.AddTypedBorrowed(kColPrefix, prefix_index());
-  writer.AddTypedBorrowed(kColPShort, p_short());
-  writer.AddTypedBorrowed(kColTShort, t_short());
-  writer.AddTypedBorrowed(kColPLong, p_long());
-  writer.AddTypedBorrowed(kColTLong, t_long());
-  writer.AddTypedBorrowed(kColDeviation, deviation());
-  writer.AddTypedBorrowed(kColRounds, rounds());
-  writer.AddTypedBorrowed(kColProbes, probes());
-  writer.AddTypedBorrowed(kColPositives, positives());
-  writer.AddTypedBorrowed(kColDownRounds, down_rounds());
-  writer.AddTypedBorrowed(kColFlags, flags());
-  writer.AddTypedBorrowed(kColClassification, classification());
-  writer.AddTypedBorrowed(kColEverActive, ever_active());
-  writer.AddTypedBorrowed(kColObservedDays, observed_days());
-  writer.AddTypedBorrowed(kColMeanShort, mean_short());
-  writer.AddTypedBorrowed(kColFinalOperational, final_operational());
-  writer.AddTypedBorrowed(kColMeanProbes, mean_probes_per_round());
-  if (series_capacity_ > 0) {
-    writer.AddTypedBorrowed(kColSeriesValue, series_values());
-    writer.AddTypedBorrowed(kColSeriesRound, series_rounds());
-    writer.AddTypedBorrowed(kColSeriesLen, series_len());
-    writer.AddTypedBorrowed(kColSeriesHead, series_head());
-  }
-  return writer.Finish();
+  return WithSnapshotWriter(
+      *this, fingerprint, rounds_done, checkpoints_written,
+      [](const storage::ColumnarWriter& writer) { return writer.Finish(); });
+}
+
+storage::Error BlockStore::WriteSnapshot(
+    storage::Env& env, const std::string& path, std::uint64_t fingerprint,
+    std::uint64_t rounds_done, std::uint64_t checkpoints_written) const {
+  return WithSnapshotWriter(
+      *this, fingerprint, rounds_done, checkpoints_written,
+      [&env, &path](const storage::ColumnarWriter& writer) {
+        return storage::AtomicWrite(env, path,
+                                    [&writer](storage::WritableFile& file) {
+                                      return writer.WriteTo(file);
+                                    });
+      });
 }
 
 storage::Error BlockStore::DecodeSnapshot(

@@ -197,6 +197,14 @@ class BlockStore {
       std::uint64_t fingerprint, std::uint64_t rounds_done,
       std::uint64_t checkpoints_written) const;
 
+  /// Durably writes the EncodeSnapshot bytes to `path` through
+  /// storage::AtomicWrite, streaming the arena columns to the file with
+  /// no image in between.
+  storage::Error WriteSnapshot(storage::Env& env, const std::string& path,
+                               std::uint64_t fingerprint,
+                               std::uint64_t rounds_done,
+                               std::uint64_t checkpoints_written) const;
+
   /// Parses + validates a v3 snapshot (typically over a
   /// storage::MappedRegion) and adopts its columns — one memcpy per
   /// column, no per-field decode. On failure the store is left Reset to

@@ -9,7 +9,10 @@
 // so the clang -Wthread-safety build (scripts/static_analysis.sh, CI
 // `static-analysis` job) rejects unlocked access at compile time.
 // Per-block state — the analyzer, the retry counter, the round cursor —
-// deliberately stays thread-local in the workers.
+// deliberately stays thread-local in the workers. Only the coordinator
+// appends analyses, so it may read them outside the lock: a checkpoint
+// save streams straight from the ledger's analyses and store columns
+// (CheckpointViewOf) without holding the lock across file I/O.
 //
 // The free helpers (backoff, gap/restart schedule checks, analysis
 // classification) are the policy pieces every block must compute
@@ -168,32 +171,42 @@ class CampaignLedger {
     return processed_rounds_;
   }
 
-  /// Builds a checkpoint snapshot of the current shared state. The
-  /// write-ahead increment of checkpoints_written is part of the
-  /// snapshot (it counts itself); a failed write is rolled back with
-  /// NoteCheckpointWritten(false). File I/O happens outside the lock.
-  Checkpoint BuildCheckpointSnapshot(std::uint64_t fingerprint,
-                                     std::size_t next_block)
+  /// The current shared state as a borrowed checkpoint view. The
+  /// write-ahead increment of checkpoints_written is part of the view
+  /// (it counts itself); a failed write is rolled back with
+  /// NoteCheckpointWritten(false).
+  ///
+  /// The view's `completed` and `estimators` point into the ledger's own
+  /// analyses and BlockStore columns, and the save reads them *outside*
+  /// the lock, so the /statusz provider (which takes the lock) never
+  /// waits on file I/O. That is safe because only the coordinator
+  /// mutates what the view borrows — CommitBlock, AdoptCheckpoint and
+  /// TakeOutcome are coordinator-only — and the coordinator is the one
+  /// thread that saves: nothing the view points at changes until the
+  /// coordinator's next CommitBlock. Coordinator-only, like those three.
+  CheckpointView CheckpointViewOf(std::uint64_t fingerprint,
+                                  std::size_t next_block)
       SLEEPWALK_EXCLUDES(mutex_) {
     util::MutexLock lock{mutex_};
-    Checkpoint checkpoint;
-    checkpoint.fingerprint = fingerprint;
-    checkpoint.counts = outcome_.result.counts;
-    checkpoint.completed = outcome_.result.analyses;
-    // Per-completed-block estimator state rides along.
-    const std::size_t n_estimators =
-        std::min(checkpoint.completed.size(), outcome_.store.size());
-    checkpoint.estimators.reserve(n_estimators);
-    for (std::size_t i = 0; i < n_estimators; ++i) {
-      checkpoint.estimators.push_back(outcome_.store.ExportEstimator(i));
-    }
+    CheckpointView view;
+    view.fingerprint = fingerprint;
+    view.counts = outcome_.result.counts;
+    view.completed = outcome_.result.analyses;
+    const BlockStore& store = outcome_.store;
+    const std::size_t rows = std::min(view.completed.size(), store.size());
+    view.estimators = {store.p_short().first(rows),
+                       store.t_short().first(rows),
+                       store.p_long().first(rows),
+                       store.t_long().first(rows),
+                       store.deviation().first(rows),
+                       store.rounds().first(rows)};
     for (const auto& block : outcome_.quarantined) {
-      checkpoint.quarantined.push_back(block.Index());
+      view.quarantined.push_back(block.Index());
     }
-    checkpoint.next_block = next_block;
-    ++outcome_.stats.checkpoints_written;  // the snapshot counts itself
-    checkpoint.stats = outcome_.stats;
-    return checkpoint;
+    view.next_block = next_block;
+    ++outcome_.stats.checkpoints_written;  // the view counts itself
+    view.stats = outcome_.stats;
+    return view;
   }
 
   void NoteCheckpointWritten(bool ok) SLEEPWALK_EXCLUDES(mutex_) {

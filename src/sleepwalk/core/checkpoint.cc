@@ -357,33 +357,59 @@ std::uint64_t CampaignFingerprint(const std::vector<BlockTarget>& targets,
   return hash;
 }
 
-std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
+namespace {
+
+/// Owned SoA estimator rows: an owned Checkpoint's estimators as a view's
+/// columns, or a short view's columns padded with defaults.
+struct EstimatorRows {
+  void Push(const AvailabilityState& state) {
+    p_short.push_back(state.p_short);
+    t_short.push_back(state.t_short);
+    p_long.push_back(state.p_long);
+    t_long.push_back(state.t_long);
+    deviation.push_back(state.deviation);
+    rounds.push_back(util::CheckedNarrow<std::int32_t>(state.rounds));
+  }
+  EstimatorColumns columns() const {
+    return {p_short, t_short, p_long, t_long, deviation, rounds};
+  }
+
+  std::vector<double> p_short, t_short, p_long, t_long, deviation;
+  std::vector<std::int32_t> rounds;
+};
+
+/// Builds `view`'s SLCK v3 column set and returns use(writer). The
+/// writer borrows every payload: the view's estimator columns as they
+/// are, SERIES_VALUES gathered from each analysis's own series, and the
+/// shredded fixed-width columns below, which live until `use` returns.
+template <typename Use>
+auto WithCheckpointWriter(const CheckpointView& view, Use&& use) {
   storage::ColumnarWriter writer(std::string_view{kMagic, sizeof(kMagic)},
-                                 kCheckpointKind, checkpoint.fingerprint,
-                                 checkpoint.stats.checkpoints_written);
+                                 kCheckpointKind, view.fingerprint,
+                                 view.stats.checkpoints_written);
 
   // The small sections ride along as byte-blob columns (META leads with
   // the format version so a spliced foreign META blob is refused).
   ByteWriter meta;
   meta.Put(kCheckpointVersionColumnar);
-  meta.Put(checkpoint.counts.strict);
-  meta.Put(checkpoint.counts.relaxed);
-  meta.Put(checkpoint.counts.non_diurnal);
-  meta.Put(checkpoint.counts.skipped);
-  PutStats(meta, checkpoint.stats);
-  meta.Put(checkpoint.next_block);
-  writer.Add(kColMeta, 1, meta.bytes());
+  meta.Put(view.counts.strict);
+  meta.Put(view.counts.relaxed);
+  meta.Put(view.counts.non_diurnal);
+  meta.Put(view.counts.skipped);
+  PutStats(meta, view.stats);
+  meta.Put(view.next_block);
+  writer.AddBorrowed(kColMeta, 1, meta.bytes());
 
-  writer.AddTyped<std::uint32_t>(
-      kColQuarantined, std::span<const std::uint32_t>{checkpoint.quarantined});
+  writer.AddTypedBorrowed<std::uint32_t>(kColQuarantined, view.quarantined);
 
-  constexpr std::uint8_t kNoInflight[1] = {0};
-  writer.Add(kColInflight, 1, kNoInflight);
-  writer.Add(kColTransport, 1, std::span<const std::uint8_t>{});
+  static constexpr std::uint8_t kNoInflight[1] = {0};
+  writer.AddBorrowed(kColInflight, 1, kNoInflight);
+  writer.AddBorrowed(kColTransport, 1, {});
 
   // COMPLETED, shredded: one fixed-width value per record per column,
-  // series/outage payloads concatenated into blobs in record order.
-  const std::size_t n = checkpoint.completed.size();
+  // outage payloads concatenated into blobs in record order; the series
+  // payloads are gathered in place.
+  const std::size_t n = view.completed.size();
   std::vector<std::uint32_t> block_index;
   std::vector<std::uint8_t> probed, classification, stationary;
   std::vector<std::int32_t> ever_active, observed_days, n_days, down_rounds;
@@ -404,30 +430,27 @@ std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
     column->reserve(n);
   }
   block_index.reserve(n);
-  std::size_t total_samples = 0;
   std::size_t total_starts = 0;
   std::size_t total_outages = 0;
-  for (const auto& analysis : checkpoint.completed) {
-    total_samples += analysis.short_series.size();
+  for (const auto& analysis : view.completed) {
     total_starts += analysis.outage_starts.size();
     total_outages += analysis.outages.size();
   }
-  std::vector<double> series_values;
-  series_values.reserve(total_samples);
+  std::vector<std::span<const std::uint8_t>> series_values;
+  series_values.reserve(n);
   std::vector<std::int64_t> outage_starts, outage_pairs;
   outage_starts.reserve(total_starts);
   outage_pairs.reserve(2 * total_outages);
 
-  for (const auto& analysis : checkpoint.completed) {
+  for (const auto& analysis : view.completed) {
     block_index.push_back(analysis.block.Index());
     probed.push_back(util::BoolByte(analysis.probed));
     ever_active.push_back(
         util::CheckedNarrow<std::int32_t>(analysis.ever_active));
     series_first_round.push_back(analysis.short_series.first_round);
     series_len.push_back(analysis.short_series.size());
-    series_values.insert(series_values.end(),
-                         analysis.short_series.values.begin(),
-                         analysis.short_series.values.end());
+    series_values.push_back(storage::ColumnarWriter::BytesOf(
+        std::span<const double>{analysis.short_series.values}));
     observed_days.push_back(
         util::CheckedNarrow<std::int32_t>(analysis.observed_days));
     classification.push_back(util::CheckedNarrow<std::uint8_t>(
@@ -461,32 +484,21 @@ std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
     }
   }
 
-  // Final estimator state: pad with defaults when the caller did not
-  // capture estimators so the columns always agree with the record
-  // count.
-  std::vector<double> est_p_short, est_t_short, est_p_long, est_t_long,
-      est_deviation;
-  std::vector<std::int32_t> est_rounds;
-  for (auto* column : {&est_p_short, &est_t_short, &est_p_long, &est_t_long,
-                       &est_deviation}) {
-    column->reserve(n);
-  }
-  est_rounds.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const AvailabilityState state =
-        i < checkpoint.estimators.size() ? checkpoint.estimators[i]
-                                         : AvailabilityState{};
-    est_p_short.push_back(state.p_short);
-    est_t_short.push_back(state.t_short);
-    est_p_long.push_back(state.p_long);
-    est_t_long.push_back(state.t_long);
-    est_deviation.push_back(state.deviation);
-    est_rounds.push_back(util::CheckedNarrow<std::int32_t>(state.rounds));
+  // Final estimator state: pad with defaults when the view carries fewer
+  // rows so the columns always agree with the record count.
+  EstimatorColumns estimators = view.estimators;
+  EstimatorRows padded;
+  if (estimators.rows() < n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      padded.Push(i < estimators.rows() ? estimators.Row(i)
+                                        : AvailabilityState{});
+    }
+    estimators = padded.columns();
   }
 
   const auto add = [&writer](std::uint32_t id, const auto& column) {
     using T = typename std::decay_t<decltype(column)>::value_type;
-    writer.AddTyped<T>(id, std::span<const T>{column});
+    writer.AddTypedBorrowed<T>(id, std::span<const T>{column});
   };
   add(kColBlockIndex, block_index);
   add(kColProbed, probed);
@@ -511,17 +523,41 @@ std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
   add(kColDownRounds, down_rounds);
   add(kColOutageStartCount, outage_start_count);
   add(kColOutageCount, outage_count);
-  add(kColEstPShort, est_p_short);
-  add(kColEstTShort, est_t_short);
-  add(kColEstPLong, est_p_long);
-  add(kColEstTLong, est_t_long);
-  add(kColEstDeviation, est_deviation);
-  add(kColEstRounds, est_rounds);
-  add(kColSeriesValues, series_values);
+  add(kColEstPShort, estimators.p_short.first(n));
+  add(kColEstTShort, estimators.t_short.first(n));
+  add(kColEstPLong, estimators.p_long.first(n));
+  add(kColEstTLong, estimators.t_long.first(n));
+  add(kColEstDeviation, estimators.deviation.first(n));
+  add(kColEstRounds, estimators.rounds.first(n));
+  writer.AddGathered(kColSeriesValues, sizeof(double),
+                     std::move(series_values));
   add(kColOutageStarts, outage_starts);
   add(kColOutages, outage_pairs);
 
-  return writer.Finish();
+  return use(std::as_const(writer));
+}
+
+/// A view of an owned Checkpoint; `rows` holds its estimators as columns.
+CheckpointView ViewOf(const Checkpoint& checkpoint, EstimatorRows& rows) {
+  for (const auto& state : checkpoint.estimators) rows.Push(state);
+  CheckpointView view;
+  view.fingerprint = checkpoint.fingerprint;
+  view.counts = checkpoint.counts;
+  view.stats = checkpoint.stats;
+  view.completed = checkpoint.completed;
+  view.estimators = rows.columns();
+  view.quarantined = checkpoint.quarantined;
+  view.next_block = checkpoint.next_block;
+  return view;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
+  EstimatorRows rows;
+  return WithCheckpointWriter(
+      ViewOf(checkpoint, rows),
+      [](const storage::ColumnarWriter& writer) { return writer.Finish(); });
 }
 
 std::vector<std::uint8_t> EncodeCheckpointAs(const Checkpoint& checkpoint,
@@ -606,8 +642,19 @@ CheckpointStore::Generations() {
 }
 
 storage::Error CheckpointStore::Save(const Checkpoint& checkpoint) {
-  if (auto error =
-          storage::AtomicWrite(env_, path_, EncodeCheckpoint(checkpoint));
+  EstimatorRows rows;
+  return Save(ViewOf(checkpoint, rows));
+}
+
+storage::Error CheckpointStore::Save(const CheckpointView& checkpoint) {
+  if (auto error = WithCheckpointWriter(
+          checkpoint,
+          [this](const storage::ColumnarWriter& writer) {
+            return storage::AtomicWrite(
+                env_, path_, [&writer](storage::WritableFile& file) {
+                  return writer.WriteTo(file);
+                });
+          });
       !error.ok()) {
     return error;
   }

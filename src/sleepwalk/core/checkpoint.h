@@ -9,8 +9,11 @@
 // there is), and the index of the first unfinished block.
 //
 // Format: SLCK v3, the storage/columnar.h container (magic "SLCK",
-// kind kCheckpointKind; encode/decode are pure in-memory transforms,
-// moved atomically by storage/file.h). The header carries the campaign
+// kind kCheckpointKind). A save streams the container straight into
+// storage/file.h's AtomicWrite from a CheckpointView — borrowed spans
+// over the campaign's own analyses and estimator columns — so no copy
+// of the finished series exists on the save path; EncodeCheckpoint is
+// the same bytes as one buffer. The header carries the campaign
 // fingerprint and the generation; the columns are
 //   META        u8 blob: format version (mixed-version refusal), diurnal
 //               counts, resilience stats, next_block
@@ -46,6 +49,7 @@
 #ifndef SLEEPWALK_CORE_CHECKPOINT_H_
 #define SLEEPWALK_CORE_CHECKPOINT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -53,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "sleepwalk/core/availability.h"
 #include "sleepwalk/core/block_analyzer.h"
 #include "sleepwalk/core/pipeline.h"
 #include "sleepwalk/report/resilience.h"
@@ -112,6 +117,33 @@ std::uint64_t CampaignFingerprint(const std::vector<BlockTarget>& targets,
                                   std::int64_t n_rounds, std::uint64_t seed,
                                   const AnalyzerConfig& config);
 
+/// The estimator columns a checkpoint persists, one row per completed
+/// block (the layout of BlockStore's estimator columns).
+struct EstimatorColumns {
+  std::span<const double> p_short, t_short, p_long, t_long, deviation;
+  std::span<const std::int32_t> rounds;
+
+  std::size_t rows() const noexcept { return rounds.size(); }
+  AvailabilityState Row(std::size_t i) const noexcept {
+    return {p_short[i], t_short[i], p_long[i],
+            t_long[i],  deviation[i], rounds[i]};
+  }
+};
+
+/// What a checkpoint save reads: the Checkpoint fields, with the large
+/// ones borrowed. `completed` and `estimators` must outlive the save.
+/// Estimator rows past `estimators.rows()` encode as AvailabilityState
+/// defaults, so the columns always agree with the record count.
+struct CheckpointView {
+  std::uint64_t fingerprint = 0;
+  DiurnalCounts counts;
+  report::ResilienceStats stats;
+  std::span<const BlockAnalysis> completed;
+  EstimatorColumns estimators;
+  std::vector<std::uint32_t> quarantined;  ///< prefix indices abandoned
+  std::uint64_t next_block = 0;
+};
+
 /// Serializes `checkpoint` as an SLCK v3 container (generation =
 /// stats.checkpoints_written). Deterministic: two equal checkpoints
 /// encode byte-identically, so resumed and uninterrupted timelines
@@ -148,7 +180,11 @@ class CheckpointStore {
   /// `keep` <= 1 disables rotation (primary file only).
   CheckpointStore(storage::Env& env, std::string path, int keep);
 
-  /// Durably persists `checkpoint` and rotates generations.
+  /// Durably persists `checkpoint` and rotates generations. The
+  /// container streams from the view's borrowed memory to the temp
+  /// file; no image of it is built.
+  storage::Error Save(const CheckpointView& checkpoint);
+  /// Save of an owned Checkpoint (benches and tests).
   storage::Error Save(const Checkpoint& checkpoint);
 
   /// Newest intact checkpoint whose fingerprint matches. Corrupt

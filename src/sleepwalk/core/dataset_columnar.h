@@ -78,7 +78,8 @@ storage::Error ParseDatasetColumnar(std::span<const std::uint8_t> file,
                                     ColumnarDatasetView& view,
                                     const std::string& path = "<memory>");
 
-/// Atomically writes the v3 encoding through `env`.
+/// Atomically writes the EncodeDatasetColumnar bytes through `env`,
+/// streamed from the columns with no image in between.
 storage::Error WriteDatasetColumnar(storage::Env& env, const std::string& path,
                                     std::span<const BlockAnalysis> analyses,
                                     std::int64_t round_seconds = 660,

@@ -609,8 +609,8 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
     const std::size_t next_boundary =
         std::min((i + stride) / stride * stride, targets.size());
     if (!config.checkpoint_path.empty() && next_boundary == i + 1) {
-      Checkpoint checkpoint =
-          ledger.BuildCheckpointSnapshot(fingerprint, i + 1);
+      const CheckpointView checkpoint =
+          ledger.CheckpointViewOf(fingerprint, i + 1);
       const auto span = obs.Span("checkpoint.write");
       const std::uint64_t save_start = MonotonicNowNs();
       const auto error = store.Save(checkpoint);

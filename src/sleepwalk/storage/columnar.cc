@@ -44,44 +44,42 @@ ColumnarWriter::ColumnarWriter(std::string_view magic, std::uint32_t kind,
               magic.size() < sizeof(magic_) ? magic.size() : sizeof(magic_));
 }
 
-void ColumnarWriter::Add(std::uint32_t id, std::uint32_t elem_width,
-                         std::span<const std::uint8_t> bytes) {
-  Pending pending;
-  pending.id = id;
-  pending.elem_width = elem_width == 0 ? 1 : elem_width;
-  pending.rows = bytes.size() / pending.elem_width;
-  pending.owned.assign(bytes.begin(), bytes.end());
-  pending.payload = pending.owned;
-  columns_.push_back(std::move(pending));
-}
-
 void ColumnarWriter::AddBorrowed(std::uint32_t id, std::uint32_t elem_width,
                                  std::span<const std::uint8_t> bytes) {
+  AddGathered(id, elem_width, {bytes});
+}
+
+void ColumnarWriter::AddGathered(
+    std::uint32_t id, std::uint32_t elem_width,
+    std::vector<std::span<const std::uint8_t>> pieces) {
   Pending pending;
   pending.id = id;
   pending.elem_width = elem_width == 0 ? 1 : elem_width;
-  pending.rows = bytes.size() / pending.elem_width;
-  pending.payload = bytes;
+  pending.byte_len = 0;
+  for (const auto piece : pieces) pending.byte_len += piece.size();
+  pending.pieces = std::move(pieces);
   columns_.push_back(std::move(pending));
 }
 
-std::vector<std::uint8_t> ColumnarWriter::Finish() const {
+std::vector<std::uint8_t> ColumnarWriter::Head(
+    std::vector<std::uint64_t>& offsets, std::uint64_t& file_bytes) const {
   // Lay out payload offsets first so the directory can be written in
   // one pass: data region starts at the next page boundary after the
   // directory, each payload cache-line aligned.
   const std::size_t dir_bytes = columns_.size() * kDirEntryBytes + 4;
   const std::size_t data_start =
       AlignUp(kHeaderBytes + dir_bytes, kColumnarPageBytes);
-  std::vector<std::uint64_t> offsets(columns_.size());
+  offsets.resize(columns_.size());
   std::size_t cursor = data_start;
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     cursor = AlignUp(cursor, kColumnarAlignBytes);
     offsets[i] = cursor;
-    cursor += columns_[i].payload.size();
+    cursor += columns_[i].byte_len;
   }
+  file_bytes = cursor;
 
   ByteWriter writer;
-  writer.Reserve(cursor);
+  writer.Reserve(data_start);
   writer.PutBytes({magic_, sizeof(magic_)});
   writer.Put<std::uint32_t>(kColumnarVersion);
   writer.Put<std::uint64_t>(fingerprint_);
@@ -94,29 +92,100 @@ std::vector<std::uint8_t> ColumnarWriter::Finish() const {
   const std::size_t dir_start = writer.size();
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     const Pending& column = columns_[i];
+    net::Crc32c crc;
+    for (const auto piece : column.pieces) crc.Add(piece);
     writer.Put<std::uint32_t>(column.id);
     writer.Put<std::uint32_t>(column.elem_width);
-    writer.Put<std::uint64_t>(column.rows);
+    writer.Put<std::uint64_t>(column.byte_len / column.elem_width);
     writer.Put<std::uint64_t>(offsets[i]);
-    writer.Put<std::uint64_t>(column.payload.size());
-    writer.Put<std::uint32_t>(net::Crc32cOf(column.payload));
+    writer.Put<std::uint64_t>(column.byte_len);
+    writer.Put<std::uint32_t>(crc.Finish());
   }
   writer.Put<std::uint32_t>(net::Crc32cOf(
       {writer.bytes().data() + dir_start, writer.size() - dir_start}));
 
-  // One pass, no full-image zero-fill: resize() only bridges the
-  // padding gaps (page-align after the directory, cache-line gaps
-  // between payloads) with zeros; each payload is memcpy'd exactly
-  // once. At paper scale the old zero-then-overwrite cost a second
-  // full pass over a multi-megabyte image every checkpoint stride.
-  std::vector<std::uint8_t> image = writer.Take();
-  image.reserve(cursor);
+  std::vector<std::uint8_t> head = writer.Take();
+  head.resize(data_start, 0);
+  return head;
+}
+
+namespace {
+
+/// WriteTo's staging buffer: coalesces pieces into stage-sized Appends,
+/// passes stage-sized spans straight through, and remembers the first
+/// failed Append (later pieces are dropped).
+class Stage {
+ public:
+  explicit Stage(WritableFile& file) : file_(file) {
+    buffer_.reserve(kColumnarStageBytes);
+  }
+
+  void Put(std::span<const std::uint8_t> bytes) {
+    if (bytes.size() >= kColumnarStageBytes) {
+      Flush();
+      Append(bytes);
+      return;
+    }
+    while (!bytes.empty() && error_.ok()) {
+      const std::size_t take =
+          std::min(bytes.size(), kColumnarStageBytes - buffer_.size());
+      buffer_.insert(buffer_.end(), bytes.begin(), bytes.begin() + take);
+      bytes = bytes.subspan(take);
+      if (buffer_.size() == kColumnarStageBytes) Flush();
+    }
+  }
+
+  Error Finish() {
+    Flush();
+    return error_;
+  }
+
+ private:
+  void Flush() {
+    if (buffer_.empty()) return;
+    Append(buffer_);
+    buffer_.clear();
+  }
+
+  void Append(std::span<const std::uint8_t> bytes) {
+    if (error_.ok()) error_ = file_.Append(bytes);
+  }
+
+  WritableFile& file_;
+  std::vector<std::uint8_t> buffer_;
+  Error error_;
+};
+
+}  // namespace
+
+Error ColumnarWriter::WriteTo(WritableFile& file) const {
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t file_bytes = 0;
+  const std::vector<std::uint8_t> head = Head(offsets, file_bytes);
+  Stage stage{file};
+  stage.Put(head);
+  // The gap before a payload is cache-line padding: < 64 bytes.
+  static constexpr std::uint8_t kZeros[kColumnarAlignBytes] = {};
+  std::uint64_t cursor = head.size();
+  for (std::size_t i = 0; i < columns_.size(); ++i) {
+    stage.Put(std::span{kZeros}.first(offsets[i] - cursor));
+    for (const auto piece : columns_[i].pieces) stage.Put(piece);
+    cursor = offsets[i] + columns_[i].byte_len;
+  }
+  return stage.Finish();
+}
+
+std::vector<std::uint8_t> ColumnarWriter::Finish() const {
+  std::vector<std::uint64_t> offsets;
+  std::uint64_t file_bytes = 0;
+  std::vector<std::uint8_t> image = Head(offsets, file_bytes);
+  image.reserve(file_bytes);
   for (std::size_t i = 0; i < columns_.size(); ++i) {
     image.resize(offsets[i], 0);
-    image.insert(image.end(), columns_[i].payload.begin(),
-                 columns_[i].payload.end());
+    for (const auto piece : columns_[i].pieces) {
+      image.insert(image.end(), piece.begin(), piece.end());
+    }
   }
-  image.resize(cursor, 0);  // zero-columns case: pad to the data start
   return image;
 }
 

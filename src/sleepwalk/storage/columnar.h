@@ -53,9 +53,18 @@ inline constexpr std::size_t kColumnarPageBytes = 4096;
 /// alignment contract typed zero-copy views rely on.
 inline constexpr std::size_t kColumnarAlignBytes = 64;
 
-/// Assembles a v3 container image in memory; storage::AtomicWrite (or a
-/// CheckpointStore) moves the finished buffer to disk. Column ids are
+/// WriteTo's staging buffer: small pieces (the header piece, narrow
+/// columns, the zero gaps) coalesce into Appends of this size; a span at
+/// least this long goes to Append as is.
+inline constexpr std::size_t kColumnarStageBytes = std::size_t{1} << 20;
+
+/// Streams a v3 container from the memory that already holds its
+/// columns: the writer borrows every payload, and the caller guarantees
+/// each one outlives every Finish() and WriteTo(). Column ids are
 /// caller-defined and must be unique; insertion order is preserved.
+/// WriteTo() appends the file to a WritableFile through one fixed
+/// staging buffer and never builds the whole image; Finish() returns
+/// the same bytes as one buffer.
 class ColumnarWriter {
  public:
   /// `magic` must be exactly 4 bytes.
@@ -64,50 +73,55 @@ class ColumnarWriter {
 
   /// Adds a raw column. `bytes.size()` must be a multiple of
   /// `elem_width` (elem_width >= 1); rows = size / width.
-  void Add(std::uint32_t id, std::uint32_t elem_width,
-           std::span<const std::uint8_t> bytes);
-
-  /// Like Add, but borrows `bytes` instead of copying: the caller
-  /// guarantees the span outlives every Finish(). The paper-scale
-  /// encode path — megabytes of arena columns per snapshot — uses this
-  /// to skip a full defensive pass over the payload.
   void AddBorrowed(std::uint32_t id, std::uint32_t elem_width,
                    std::span<const std::uint8_t> bytes);
 
+  /// A gathered column: the `pieces` laid end to end form one payload
+  /// (empty pieces are fine). The pieces' bytes are borrowed.
+  void AddGathered(std::uint32_t id, std::uint32_t elem_width,
+                   std::vector<std::span<const std::uint8_t>> pieces);
+
   /// Adds a column of scalars (the fixed-width fast path).
   template <typename T>
-  void AddTyped(std::uint32_t id, std::span<const T> values) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "columns hold plain scalar types");
-    Add(id, sizeof(T),
-        {reinterpret_cast<const std::uint8_t*>(values.data()),
-         values.size_bytes()});
-  }
-
-  /// AddTyped over a borrowed span (see AddBorrowed for the lifetime
-  /// contract).
-  template <typename T>
   void AddTypedBorrowed(std::uint32_t id, std::span<const T> values) {
-    static_assert(std::is_trivially_copyable_v<T>,
-                  "columns hold plain scalar types");
-    AddBorrowed(id, sizeof(T),
-                {reinterpret_cast<const std::uint8_t*>(values.data()),
-                 values.size_bytes()});
+    AddBorrowed(id, sizeof(T), BytesOf(values));
   }
 
-  /// Assembles the final file image: header, CRC'd directory, padded
-  /// page-aligned payloads. The writer may be reused after (columns
-  /// stay; call again after more Add()s for a superset image).
+  /// The raw bytes of a typed span (the piece type AddGathered takes).
+  template <typename T>
+  static std::span<const std::uint8_t> BytesOf(std::span<const T> values) {
+    static_assert(std::is_trivially_copyable_v<T>,
+                  "columns hold plain scalar types");
+    return {reinterpret_cast<const std::uint8_t*>(values.data()),
+            values.size_bytes()};
+  }
+
+  /// Appends the file to `file`: one piece holding the header, the CRC'd
+  /// directory and the page padding, then each payload and its zero
+  /// gap, staged through a kColumnarStageBytes buffer. Column CRCs are
+  /// computed before the directory is emitted. A file no larger than
+  /// the stage takes exactly one Append. Stops at the first failed
+  /// Append and returns its Error.
+  Error WriteTo(WritableFile& file) const;
+
+  /// The bytes WriteTo() appends, as one buffer. The writer may be
+  /// reused after (columns stay; call again after more columns for a
+  /// superset image).
   std::vector<std::uint8_t> Finish() const;
 
  private:
   struct Pending {
     std::uint32_t id;
     std::uint32_t elem_width;
-    std::uint64_t rows;
-    std::vector<std::uint8_t> owned;        // empty when borrowed
-    std::span<const std::uint8_t> payload;  // into `owned` or borrowed
+    std::uint64_t byte_len;
+    std::vector<std::span<const std::uint8_t>> pieces;  // the payload
   };
+
+  /// Header + directory + padding up to the data region; fills
+  /// `offsets` with each payload's file offset and returns the file
+  /// size through `file_bytes`.
+  std::vector<std::uint8_t> Head(std::vector<std::uint64_t>& offsets,
+                                 std::uint64_t& file_bytes) const;
 
   std::uint8_t magic_[4];
   std::uint32_t kind_;

@@ -267,53 +267,40 @@ struct MemEnv::Impl {
 
 namespace {
 
-/// Buffers writes, publishing into the Impl map on Close (Sync is a
-/// no-op publish too, so a crash between Sync and Close loses nothing —
-/// mirroring the durability point RealFile::Sync establishes).
+/// Writes through to the Impl map: Create publishes the empty file
+/// (like O_TRUNC) and each Append extends the published entry by the new
+/// bytes, under the map lock, so every op leaves the map holding exactly
+/// the bytes written so far (FaultyEnv kills between ops, never mid-op).
+/// Sync and Close publish nothing new.
 class MemFile final : public WritableFile {
  public:
   MemFile(MemEnv::Impl* impl, std::string path)
       : impl_(impl), path_(std::move(path)) {
-    Publish();  // Create truncates immediately, like O_TRUNC
+    util::MutexLock lock{impl_->mutex};
+    impl_->files[path_].clear();
   }
 
   Error Append(std::span<const std::uint8_t> data) override {
     if (closed_) return Fail("append", path_, EBADF, "file closed");
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
-    dirty_ = true;
-    Publish();
+    util::MutexLock lock{impl_->mutex};
+    auto& bytes = impl_->files[path_];
+    bytes.insert(bytes.end(), data.begin(), data.end());
     return {};
   }
 
   Error Sync() override {
     if (closed_) return Fail("sync", path_, EBADF, "file closed");
-    Publish();
     return {};
   }
 
   Error Close() override {
-    if (closed_) return {};
     closed_ = true;
-    Publish();
     return {};
   }
 
  private:
-  void Publish() {
-    // Re-copying an unchanged buffer on Sync/Close would double or
-    // quadruple the bytes moved per checkpoint at paper scale; the
-    // published state is identical either way, so crash-point semantics
-    // (FaultyEnv kills between ops, never mid-copy) are unaffected.
-    if (!dirty_) return;
-    dirty_ = false;
-    util::MutexLock lock{impl_->mutex};
-    impl_->files[path_] = bytes_;
-  }
-
   MemEnv::Impl* impl_;
   std::string path_;
-  std::vector<std::uint8_t> bytes_;
-  bool dirty_ = true;  // Create truncates: the first Publish must land
   bool closed_ = false;
 };
 
@@ -392,8 +379,7 @@ std::string DirName(const std::string& path) {
   return path.substr(0, slash);
 }
 
-Error AtomicWrite(Env& env, const std::string& path,
-                  std::span<const std::uint8_t> bytes) {
+Error AtomicWrite(Env& env, const std::string& path, const FillFn& fill) {
   const std::string tmp = path + ".tmp";
   Error error;
   auto file = env.Create(tmp, error);
@@ -407,11 +393,18 @@ Error AtomicWrite(Env& env, const std::string& path,
     return failed;
   };
 
-  if (error = file->Append(bytes); !error.ok()) return fail(error);
+  if (error = fill(*file); !error.ok()) return fail(error);
   if (error = file->Sync(); !error.ok()) return fail(error);
   if (error = file->Close(); !error.ok()) return fail(error);
   if (error = env.Rename(tmp, path); !error.ok()) return fail(error);
   return env.SyncDir(DirName(path));
+}
+
+Error AtomicWrite(Env& env, const std::string& path,
+                  std::span<const std::uint8_t> bytes) {
+  return AtomicWrite(env, path, [bytes](WritableFile& file) {
+    return file.Append(bytes);
+  });
 }
 
 }  // namespace sleepwalk::storage

@@ -22,6 +22,7 @@
 #define SLEEPWALK_STORAGE_FILE_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -129,7 +130,11 @@ class Env {
 Env& RealEnvInstance();
 
 /// In-memory Env for tests and benches: full paths as keys, rename and
-/// link with POSIX semantics, SyncDir a no-op. Thread-safe.
+/// link with POSIX semantics, SyncDir a no-op. Thread-safe. An open
+/// file writes through: each Append extends the published entry by the
+/// appended bytes only, so what every op publishes is exactly the
+/// file's bytes so far and a multi-Append save costs its size, not its
+/// size times its Append count.
 class MemEnv final : public Env {
  public:
   MemEnv();
@@ -155,14 +160,22 @@ class MemEnv final : public Env {
 /// Everything up to the last '/', or "." for a bare filename.
 std::string DirName(const std::string& path);
 
-/// Durable atomic replacement of `path` with `bytes`:
-///   create path.tmp → append → sync → close → rename → sync(dir).
+/// Appends a file's content to the open temp file (AtomicWrite's fill
+/// form); returns the first failed Append's Error.
+using FillFn = std::function<Error(WritableFile&)>;
+
+/// Durable atomic replacement of `path` with what `fill` appends:
+///   create path.tmp → fill (append) → sync → close → rename → sync(dir).
 /// On ANY failure the temp file is removed and the previous `path`
 /// content is untouched; the returned Error names the failing step and
 /// carries its errno (the .tmp-leak fix over the old checkpoint
 /// writer). A CrashInjected from a faulty env propagates — that is the
 /// simulated power cut, and the temp file deliberately stays behind
-/// exactly as a real crash would leave it.
+/// exactly as a real crash would leave it. `fill` may Append any number
+/// of times (storage::ColumnarWriter::WriteTo streams a container).
+Error AtomicWrite(Env& env, const std::string& path, const FillFn& fill);
+
+/// AtomicWrite of one buffer: `fill` is a single Append of `bytes`.
 Error AtomicWrite(Env& env, const std::string& path,
                   std::span<const std::uint8_t> bytes);
 

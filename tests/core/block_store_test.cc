@@ -386,19 +386,24 @@ TEST(StoreCampaign, KillAndResumeIsByteIdenticalAcrossWorkerCounts) {
 // every round and the classify sweep run before the final checkpoint.
 // The resumed run must classify, and its snapshot — verdict columns
 // and rings included — must match the uninterrupted run's bytes.
+StoreCampaignConfig ClassifyConfig(storage::Env& env,
+                                   const std::string& path) {
+  StoreCampaignConfig config;
+  config.n_blocks = 600;
+  config.n_rounds = 500;  // ring keeps ~3 days; >= 2 survive the trim
+  config.seed = 0xc1a5;
+  config.checkpoint_path = path;
+  config.checkpoint_every_rounds = 128;
+  config.env = &env;
+  config.series_capacity = 400;
+  config.classify = true;
+  return config;
+}
+
 TEST(StoreCampaign, KillAndResumeWithSeriesAndClassifyIsByteIdentical) {
   const std::string path = "/ckpt/classify.slck";
   const auto configure = [&path](storage::Env& env) {
-    StoreCampaignConfig config;
-    config.n_blocks = 600;
-    config.n_rounds = 500;  // ring keeps ~3 days; >= 2 survive the trim
-    config.seed = 0xc1a5;
-    config.checkpoint_path = path;
-    config.checkpoint_every_rounds = 128;
-    config.env = &env;
-    config.series_capacity = 400;
-    config.classify = true;
-    return config;
+    return ClassifyConfig(env, path);
   };
 
   MemEnv clean_env;
@@ -459,6 +464,39 @@ TEST(StoreCampaign, ForeignSnapshotIsIgnoredOnResume) {
   EXPECT_FALSE(outcome.resumed)
       << "a fingerprint-mismatched snapshot must not be adopted";
   EXPECT_EQ(outcome.rounds_done, 10);
+}
+
+
+// FNV-1a of the classify campaign's final snapshot (rings and verdict
+// columns included), recorded from the bytes written before snapshots
+// streamed from the arena (when every save was one Append of a
+// contiguous image). Same bytes is the contract: a moved digest is a
+// format change to explain, not a constant to re-pin.
+constexpr std::uint64_t kClassifySnapshotDigest = 0xe6db191b5268eec8ULL;
+
+TEST(StoreCampaign, FinalSnapshotBytesArePinned) {
+  const std::string path = "/ckpt/classify.slck";
+  MemEnv env;
+  auto config = ClassifyConfig(env, path);
+  config.workers = 2;
+  BlockStore store;
+  const auto outcome = core::RunStoreCampaign(store, config);
+  ASSERT_TRUE(outcome.error.empty()) << outcome.error;
+  std::vector<std::uint8_t> bytes;
+  ASSERT_TRUE(env.ReadAll(path, bytes).ok());
+  ASSERT_GT(bytes.size(), storage::kColumnarStageBytes);
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  EXPECT_EQ(hash, kClassifySnapshotDigest)
+      << std::hex << "0x" << hash << " over " << std::dec << bytes.size()
+      << " bytes";
+  // The streamed file is the in-memory encoding, byte for byte.
+  EXPECT_EQ(bytes, store.EncodeSnapshot(core::StoreCampaignFingerprint(config),
+                                        outcome.rounds_done,
+                                        outcome.checkpoints_written));
 }
 
 }  // namespace

@@ -108,7 +108,7 @@ TEST(CheckpointRobustness, MixedVersionMetaPayloadIsRefused) {
       PatchU32(meta, 0, 2);
       bytes = meta;
     }
-    writer.Add(column.id, column.elem_width, bytes);
+    writer.AddBorrowed(column.id, column.elem_width, bytes);
   }
   const auto spliced = writer.Finish();
 

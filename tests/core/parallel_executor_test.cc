@@ -334,7 +334,7 @@ std::vector<std::uint8_t> RetiredV3(std::span<const std::uint8_t> file) {
     std::span<const std::uint8_t> bytes = column.bytes;
     if (column.id == 3) bytes = kRetiredInflight;
     if (column.id == 4) bytes = kRetiredTransport;
-    writer.Add(column.id, column.elem_width, bytes);
+    writer.AddBorrowed(column.id, column.elem_width, bytes);
   }
   return writer.Finish();
 }

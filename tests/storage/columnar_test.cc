@@ -7,12 +7,15 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sleepwalk/net/checksum.h"
 #include "sleepwalk/storage/columnar.h"
+#include "sleepwalk/storage/file.h"
 
 namespace sleepwalk {
 namespace {
@@ -21,6 +24,7 @@ using storage::ColumnarReader;
 using storage::ColumnarWriter;
 using storage::kColumnarAlignBytes;
 using storage::kColumnarPageBytes;
+using storage::kColumnarStageBytes;
 
 constexpr std::uint32_t kKind = 7;
 constexpr std::uint64_t kFingerprint = 0xfeedface12345678ULL;
@@ -31,9 +35,9 @@ std::vector<std::uint8_t> SampleImage() {
   std::vector<std::uint64_t> ids{10, 20, 30, 40, 50};
   std::vector<double> values{0.5, 0.25, 0.125, 1.0, 0.0};
   std::vector<std::uint8_t> blob{1, 2, 3};
-  writer.AddTyped<std::uint64_t>(1, ids);
-  writer.AddTyped<double>(2, values);
-  writer.Add(3, 1, blob);
+  writer.AddTypedBorrowed<std::uint64_t>(1, ids);
+  writer.AddTypedBorrowed<double>(2, values);
+  writer.AddBorrowed(3, 1, blob);
   return writer.Finish();
 }
 
@@ -263,6 +267,187 @@ TEST(Columnar, EmptyContainerRoundTrips) {
   ColumnarReader reader;
   ASSERT_TRUE(reader.Parse(image, "SLPW").ok());
   EXPECT_TRUE(reader.columns().empty());
+}
+
+
+// ---------------------------------------------------------------------------
+// WriteTo: the streamed form must append exactly Finish()'s bytes.
+
+/// Forwards to a MemEnv file and records every Append's size.
+class RecordingFile final : public storage::WritableFile {
+ public:
+  explicit RecordingFile(std::unique_ptr<storage::WritableFile> inner)
+      : inner_(std::move(inner)) {}
+  storage::Error Append(std::span<const std::uint8_t> data) override {
+    appends.push_back(data.size());
+    return inner_->Append(data);
+  }
+  storage::Error Sync() override { return inner_->Sync(); }
+  storage::Error Close() override { return inner_->Close(); }
+
+  std::vector<std::size_t> appends;
+
+ private:
+  std::unique_ptr<storage::WritableFile> inner_;
+};
+
+/// Streams `writer` into a MemEnv file; returns the file's bytes and the
+/// Append sizes.
+std::vector<std::uint8_t> Streamed(const ColumnarWriter& writer,
+                                   std::vector<std::size_t>& appends) {
+  storage::MemEnv env;
+  storage::Error error;
+  auto base = env.Create("/d/f", error);
+  EXPECT_TRUE(error.ok()) << error.ToString();
+  RecordingFile file{std::move(base)};
+  error = writer.WriteTo(file);
+  EXPECT_TRUE(error.ok()) << error.ToString();
+  EXPECT_TRUE(file.Close().ok());
+  appends = file.appends;
+  std::vector<std::uint8_t> bytes;
+  EXPECT_TRUE(env.ReadAll("/d/f", bytes).ok());
+  return bytes;
+}
+
+void ExpectStreamMatchesFinish(const ColumnarWriter& writer) {
+  const auto image = writer.Finish();
+  std::vector<std::size_t> appends;
+  const auto streamed = Streamed(writer, appends);
+  EXPECT_EQ(streamed, image);
+  ColumnarReader reader;
+  EXPECT_TRUE(reader.Parse(streamed, "SLCK").ok());
+  // A file no larger than the stage takes exactly one Append; a larger
+  // one never appends an empty piece.
+  if (image.size() <= kColumnarStageBytes) {
+    EXPECT_EQ(appends.size(), 1u);
+  }
+  for (const std::size_t size : appends) EXPECT_GT(size, 0u);
+}
+
+std::span<const std::uint8_t> Piece(const std::vector<std::uint8_t>& bytes,
+                                    std::size_t begin, std::size_t size) {
+  return std::span<const std::uint8_t>{bytes}.subspan(begin, size);
+}
+
+TEST(ColumnarWriteTo, ZeroColumnsIsTheHeaderPage) {
+  const ColumnarWriter writer{"SLCK", kKind, kFingerprint, kGeneration};
+  ExpectStreamMatchesFinish(writer);
+  EXPECT_EQ(writer.Finish().size(), kColumnarPageBytes);
+}
+
+TEST(ColumnarWriteTo, EmptyColumnAndSmallColumns) {
+  ColumnarWriter writer{"SLCK", kKind, kFingerprint, kGeneration};
+  const std::vector<double> values{0.5, 0.25, 0.125};
+  writer.AddTypedBorrowed<double>(1, values);
+  const std::vector<std::uint8_t> blob{7, 8, 9};
+  writer.AddBorrowed(2, 1, {});
+  writer.AddBorrowed(3, 1, blob);
+  ExpectStreamMatchesFinish(writer);
+}
+
+TEST(ColumnarWriteTo, GatheredColumnWithEmptyPiecesEqualsOneColumn) {
+  const std::vector<double> a{1.0, 2.0};
+  const std::vector<double> b{3.0};
+  const std::vector<double> empty;
+  ColumnarWriter gathered{"SLCK", kKind, kFingerprint, kGeneration};
+  gathered.AddGathered(
+      5, sizeof(double),
+      {ColumnarWriter::BytesOf(std::span<const double>{empty}),
+       ColumnarWriter::BytesOf(std::span<const double>{a}),
+       ColumnarWriter::BytesOf(std::span<const double>{empty}),
+       ColumnarWriter::BytesOf(std::span<const double>{b})});
+  gathered.AddGathered(6, sizeof(double), {});
+  ExpectStreamMatchesFinish(gathered);
+
+  const std::vector<double> joined{1.0, 2.0, 3.0};
+  ColumnarWriter single{"SLCK", kKind, kFingerprint, kGeneration};
+  single.AddTypedBorrowed<double>(5, joined);
+  single.AddTypedBorrowed<double>(6, std::span<const double>{});
+  EXPECT_EQ(gathered.Finish(), single.Finish());
+
+  ColumnarReader reader;
+  const auto image = gathered.Finish();
+  ASSERT_TRUE(Parse(reader, image).ok());
+  std::span<const double> column;
+  ASSERT_TRUE(reader.FetchTyped<double>(5, 3, column));
+  EXPECT_EQ(column[2], 3.0);
+}
+
+TEST(ColumnarWriteTo, PiecesStraddlingTheStageBoundary) {
+  std::vector<std::uint8_t> bytes(3 * kColumnarStageBytes + 4096);
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  ColumnarWriter writer{"SLCK", kKind, kFingerprint, kGeneration};
+  // Column 2's payload starts 5120 bytes into the file (the header page,
+  // column 1's 1000 bytes, the gap up to the next cache line). Its pieces
+  // then stop one byte short of the stage boundary, straddle it, land
+  // exactly on it, are exactly the stage size, are empty, are larger
+  // than the stage, and leave an odd-sized tail for column 3's zero gap
+  // to follow.
+  constexpr std::size_t kColumn2Start = 5120;
+  writer.AddBorrowed(1, 1, Piece(bytes, 0, 1000));
+  writer.AddGathered(
+      2, 1,
+      {Piece(bytes, 0, kColumnarStageBytes - kColumn2Start - 1),
+       Piece(bytes, 11, 2), Piece(bytes, 17, kColumnarStageBytes - 1),
+       Piece(bytes, 100, kColumnarStageBytes), Piece(bytes, 0, 0),
+       Piece(bytes, 3, kColumnarStageBytes + 3), Piece(bytes, 9, 13)});
+  writer.AddBorrowed(3, 1, Piece(bytes, 5, kColumnarStageBytes - 1));
+  writer.AddBorrowed(4, 1, Piece(bytes, 1, 77));
+  ExpectStreamMatchesFinish(writer);
+  const auto image = writer.Finish();
+  ColumnarReader reader;
+  ASSERT_TRUE(Parse(reader, image).ok());
+  EXPECT_EQ(reader.Find(2)->bytes.data() - image.data(),
+            static_cast<std::ptrdiff_t>(kColumn2Start));
+  std::vector<std::size_t> appends;
+  Streamed(writer, appends);
+  EXPECT_GT(appends.size(), 3u);
+  for (const std::size_t size : appends) {
+    EXPECT_LE(size, kColumnarStageBytes + 3);
+  }
+}
+
+TEST(ColumnarWriteTo, FileOfExactlyTheStageSizeIsOneAppend) {
+  const std::vector<std::uint8_t> payload(
+      kColumnarStageBytes - kColumnarPageBytes, 0x5a);
+  ColumnarWriter writer{"SLCK", kKind, kFingerprint, kGeneration};
+  writer.AddBorrowed(1, 1, payload);
+  ASSERT_EQ(writer.Finish().size(), kColumnarStageBytes);
+  ExpectStreamMatchesFinish(writer);
+
+  // One byte more spills into a second Append.
+  const std::vector<std::uint8_t> bigger(payload.size() + 1, 0x5a);
+  ColumnarWriter over{"SLCK", kKind, kFingerprint, kGeneration};
+  over.AddBorrowed(1, 1, bigger);
+  ExpectStreamMatchesFinish(over);
+  std::vector<std::size_t> appends;
+  Streamed(over, appends);
+  EXPECT_EQ(appends.size(), 2u);
+}
+
+TEST(ColumnarWriteTo, StopsAtTheFirstFailedAppend) {
+  class FailingFile final : public storage::WritableFile {
+   public:
+    storage::Error Append(std::span<const std::uint8_t>) override {
+      ++appends;
+      storage::Error error;
+      error.op = "append";
+      error.path = "x";
+      return error;
+    }
+    storage::Error Sync() override { return {}; }
+    storage::Error Close() override { return {}; }
+    int appends = 0;
+  };
+  const std::vector<std::uint8_t> payload(3 * kColumnarStageBytes, 1);
+  ColumnarWriter writer{"SLCK", kKind, kFingerprint, kGeneration};
+  writer.AddBorrowed(1, 1, payload);
+  writer.AddBorrowed(2, 1, payload);
+  FailingFile file;
+  EXPECT_EQ(writer.WriteTo(file).op, "append");
+  EXPECT_EQ(file.appends, 1);
 }
 
 }  // namespace

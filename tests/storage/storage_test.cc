@@ -47,6 +47,25 @@ TEST(MemEnv, CreateAppendCloseRoundTrips) {
   EXPECT_EQ(ReadString(env, "/d/a"), "hello");
 }
 
+TEST(MemEnv, EveryOpPublishesExactlyTheBytesSoFar) {
+  MemEnv env;
+  ASSERT_TRUE(AtomicWrite(env, "/d/a", Bytes("old")).ok());
+  storage::Error error;
+  auto file = env.Create("/d/a", error);
+  ASSERT_NE(file, nullptr);
+  EXPECT_EQ(ReadString(env, "/d/a"), "");  // Create truncates at once
+  ASSERT_TRUE(file->Append(Bytes("ab")).ok());
+  EXPECT_EQ(ReadString(env, "/d/a"), "ab");
+  ASSERT_TRUE(file->Append(Bytes("")).ok());
+  ASSERT_TRUE(file->Append(Bytes("cde")).ok());
+  EXPECT_EQ(ReadString(env, "/d/a"), "abcde");
+  ASSERT_TRUE(file->Sync().ok());
+  ASSERT_TRUE(file->Close().ok());
+  EXPECT_EQ(ReadString(env, "/d/a"), "abcde");
+  EXPECT_FALSE(file->Append(Bytes("x")).ok()) << "append after close";
+  EXPECT_EQ(ReadString(env, "/d/a"), "abcde");
+}
+
 TEST(MemEnv, RenameReplacesAndLinkRefusesExistingTarget) {
   MemEnv env;
   ASSERT_TRUE(AtomicWrite(env, "/d/a", Bytes("new")).ok());
@@ -148,6 +167,28 @@ INSTANTIATE_TEST_SUITE_P(
         AtomicWriteFailCase{"storage.rename=eio", "rename", EIO, "previous"},
         AtomicWriteFailCase{"storage.syncdir=eio", "syncdir", EIO,
                             "replacement"}));
+
+TEST(AtomicWrite, FillAppendsInPiecesAndAFailedPieceKeepsThePrevious) {
+  const auto fill = [](storage::WritableFile& file) {
+    for (const char* piece : {"re", "place", "ment"}) {
+      if (auto error = file.Append(Bytes(piece)); !error.ok()) return error;
+    }
+    return storage::Error{};
+  };
+  MemEnv mem;
+  ASSERT_TRUE(AtomicWrite(mem, "/d/f", Bytes("previous")).ok());
+  for (const char* spec : {"storage.append=short@2", "storage.append=eio@3"}) {
+    SCOPED_TRACE(spec);
+    FailpointSet failpoints;
+    ASSERT_TRUE(FailpointSet::Parse(spec, failpoints));
+    storage::FaultyEnv env{mem, failpoints};
+    EXPECT_EQ(AtomicWrite(env, "/d/f", fill).op, "append");
+    EXPECT_FALSE(mem.Exists("/d/f.tmp")) << "leaked temp file";
+    EXPECT_EQ(ReadString(mem, "/d/f"), "previous");
+  }
+  ASSERT_TRUE(AtomicWrite(mem, "/d/f", fill).ok());
+  EXPECT_EQ(ReadString(mem, "/d/f"), "replacement");
+}
 
 TEST(AtomicWrite, ShortWriteReportsByteCounts) {
   MemEnv mem;
