@@ -26,6 +26,7 @@
 #include <string>
 #include <string_view>
 
+#include "sleepwalk/core/campaign_ledger.h"
 #include "sleepwalk/sleepwalk.h"
 #include "sleepwalk/util/parse.h"
 
@@ -479,40 +480,30 @@ int CmdAnalyze(const Flags& flags) {
   core::AnalyzerConfig config;
   config.schedule.round_seconds = dataset->round_seconds;
 
-  std::int64_t strict = 0;
-  std::int64_t relaxed = 0;
-  std::int64_t non_diurnal = 0;
-  std::int64_t skipped = 0;
+  core::DiurnalCounts counts;
   std::int64_t stationary = 0;
   const auto analyses = core::ReanalyzeDataset(
       *dataset, config,
       static_cast<int>(flags.GetInt("workers", 0, 0, kMaxWorkers)));
   for (const auto& analysis : analyses) {
-    if (!analysis.probed || analysis.observed_days < 2) {
-      ++skipped;
-      continue;
-    }
-    if (analysis.stationarity.stationary) ++stationary;
-    switch (analysis.diurnal.classification) {
-      case core::Diurnality::kStrictlyDiurnal: ++strict; break;
-      case core::Diurnality::kRelaxedDiurnal: ++relaxed; break;
-      case core::Diurnality::kNonDiurnal: ++non_diurnal; break;
+    const auto skipped = counts.skipped;
+    core::ClassifyAnalysis(analysis, /*quarantined=*/false, counts);
+    if (counts.skipped == skipped && analysis.stationarity.stationary) {
+      ++stationary;
     }
   }
-  const auto analyzed = strict + relaxed + non_diurnal;
+  const auto analyzed = counts.probed();
   report::TextTable table{{"metric", "value"}};
   table.AddRow({"blocks in dataset",
                 report::WithCommas(
                     static_cast<long long>(dataset->blocks.size()))});
   table.AddRow({"analyzable", report::WithCommas(analyzed)});
-  table.AddRow({"skipped (sparse/short)", report::WithCommas(skipped)});
+  table.AddRow({"skipped (sparse/short)", report::WithCommas(counts.skipped)});
   table.AddRow({"strictly diurnal",
-                report::WithCommas(strict) + " (" +
-                    report::Percent(analyzed > 0
-                                        ? static_cast<double>(strict) /
-                                              analyzed : 0.0, 1) + ")"});
-  table.AddRow({"relaxed diurnal", report::WithCommas(relaxed)});
-  table.AddRow({"non-diurnal", report::WithCommas(non_diurnal)});
+                report::WithCommas(counts.strict) + " (" +
+                    report::Percent(counts.StrictFraction(), 1) + ")"});
+  table.AddRow({"relaxed diurnal", report::WithCommas(counts.relaxed)});
+  table.AddRow({"non-diurnal", report::WithCommas(counts.non_diurnal)});
   table.AddRow({"stationary",
                 report::Percent(analyzed > 0
                                     ? static_cast<double>(stationary) /

@@ -143,15 +143,18 @@ echo "== tier-1: ASan+UBSan build of the fault/resilience, storage and fft tests
 # re,im buffers, where an off-by-one would read a neighbour silently.
 # The storage and crash-recovery suites ride along because the columnar
 # writer streams borrowed spans: a column that outlived its memory would
-# be a silent read of freed bytes, not a failed assertion.
+# be a silent read of freed bytes, not a failed assertion. The store and
+# dataset suites ride along because the store sweep reuses one
+# BlockAnalysis per worker over CopySeriesOrdered's ring indexing.
 cmake -B build-asan -S . \
   -DSLEEPWALK_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build-asan -j "${jobs}" --target faults_test integration_test \
-  crash_sweep_test fft_test storage_test crash_recovery_test
+  crash_sweep_test fft_test storage_test crash_recovery_test core_test
 fft_suites='Bluestein|ChirpIndex|FftRadix2InPlace|Forward|ForwardReal|Goertzel|IsPowerOfTwo|NextPowerOfTwoChecked|Plan|PlanCache|Sizes/FftMatchesNaive|Sizes/GoertzelMatchesFft|Spectrum|SpectrumOptions'
 storage_suites='FailpointParse|Failpoint|MemEnv|DirName|RealEnv|AtomicWrite|FaultyEnv|Columnar|ColumnarWriteTo|EveryStep/AtomicWriteFailure|CheckpointRobustness|CheckpointColumnar|DatasetRobustness'
+store_suites='StoreAnalyzer|StoreCampaign|BlockStore|Dataset|DatasetColumnar'
 ctest --test-dir build-asan --output-on-failure -j "${jobs}" --timeout 600 \
-  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${fft_suites}|${storage_suites})\\."
+  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${fft_suites}|${storage_suites}|${store_suites})\\."
 
 echo "== tier-1: all green =="

@@ -7,7 +7,7 @@
 // is pure overhead, since consecutive blocks need identically-sized
 // buffers. AnalysisScratch bundles each stage's buffers into one arena a
 // worker owns for its whole shard: after the first block warms the
-// capacities, BlockAnalyzer::Finish(scratch, out) performs zero heap
+// capacities, AnalyzeSeries (core/block_analyzer.h) performs zero heap
 // allocations (enforced by tests/core/zero_alloc_test.cc).
 //
 // Not thread-safe — one AnalysisScratch per worker, by construction of
@@ -26,17 +26,14 @@
 
 namespace sleepwalk::core {
 
-/// One worker's reusable buffers for BlockAnalyzer::Finish and friends.
+/// One worker's reusable buffers for the AnalyzeSeries stage chain.
 struct AnalysisScratch {
   fft::FftScratch fft;            ///< transform buffers + memoized plan
   fft::Spectrum spectrum;         ///< amplitude/phase output, reused
   ts::RegularizeScratch regularize;  ///< per-round slot tables
   ts::EvenSeries even;            ///< regularized series
   std::vector<double> index;      ///< stationarity regressor (0, 1, ...)
-  // Columnar sweep buffers (core/store_analyzer.h, dataset reanalysis):
-  std::vector<ts::Observation> observations;  ///< ring copy, round order
-  ts::EvenSeries trimmed;         ///< midnight-trimmed series (no out.)
-  std::vector<double> samples;    ///< f32 -> f64 widening (SLPW v3)
+  std::vector<ts::Observation> observations;  ///< store ring, round order
 };
 
 }  // namespace sleepwalk::core

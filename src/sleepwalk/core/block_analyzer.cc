@@ -77,23 +77,7 @@ BlockAnalysis BlockAnalyzer::Finish() const {
 void BlockAnalyzer::Finish(AnalysisScratch& scratch,
                            BlockAnalysis& out) const {
   const auto finish_span = obs_.Span("analyze.finish");
-  // Reset every field in place: `out` is reused across blocks, and
-  // clear() / copy-assign keep the vectors' capacity where a fresh
-  // BlockAnalysis{} would free it.
-  out.block = block_;
-  out.ever_active = ever_active_;
-  out.probed = prober_.has_value() && rounds_run_ > 0;
-  out.short_series.first_round = 0;
-  out.short_series.values.clear();
-  out.observed_days = 0;
-  out.diurnal = DiurnalResult{};
-  out.stationarity = ts::StationarityResult{};
-  out.mean_short = 0.0;
-  out.final_operational = 0.0;
-  out.mean_probes_per_round = 0.0;
-  out.down_rounds = 0;
-  out.outage_starts.clear();
-  out.outages.clear();
+  out.Reset(block_, ever_active_, prober_.has_value() && rounds_run_ > 0);
   if (!out.probed) return;
 
   out.final_operational = estimator_.Operational();
@@ -102,43 +86,71 @@ void BlockAnalyzer::Finish(AnalysisScratch& scratch,
   out.down_rounds = down_rounds_;
   out.outage_starts = outage_starts_;
   out.outages = outages_;
+  AnalyzeSeries(raw_.observations(), ever_active_, config_.schedule,
+                config_.diurnal, config_.max_trend_addresses_per_day, &obs_,
+                scratch, out);
+}
 
-  bool ok = false;
-  {
-    const auto span = obs_.Span("analyze.resample");
-    ok = ts::Regularize(raw_, scratch.regularize, scratch.even);
+void BlockAnalysis::Reset(net::Prefix24 for_block, int ever_active_count,
+                          bool was_probed) noexcept {
+  block = for_block;
+  ever_active = ever_active_count;
+  probed = was_probed;
+  short_series.first_round = 0;
+  short_series.values.clear();
+  observed_days = 0;
+  diurnal = DiurnalResult{};
+  stationarity = ts::StationarityResult{};
+  mean_short = 0.0;
+  final_operational = 0.0;
+  mean_probes_per_round = 0.0;
+  down_rounds = 0;
+  outage_starts.clear();
+  outages.clear();
+}
+
+bool AnalyzeSeries(std::optional<std::span<const ts::Observation>> raw,
+                   int ever_active, const probing::ScheduleConfig& schedule,
+                   const DiurnalConfig& diurnal,
+                   double max_trend_addresses_per_day,
+                   const obs::Context* obs, AnalysisScratch& scratch,
+                   BlockAnalysis& out) {
+  const obs::Context context = obs != nullptr ? *obs : obs::Context{};
+  if (raw) {
+    bool ok = false;
+    {
+      const auto span = context.Span("analyze.resample");
+      ok = ts::Regularize(*raw, scratch.regularize, scratch.even);
+    }
+    if (!ok) return false;
+    {
+      const auto span = context.Span("analyze.trim");
+      ok = ts::TrimToMidnightUtc(scratch.even, schedule.epoch_sec,
+                                 schedule.round_seconds, out.short_series);
+    }
+    if (!ok) return false;
   }
-  if (!ok) return;
-  {
-    const auto span = obs_.Span("analyze.trim");
-    ok = ts::TrimToMidnightUtc(scratch.even, config_.schedule.epoch_sec,
-                               config_.schedule.round_seconds,
-                               out.short_series);
-  }
-  if (!ok) return;
+  const std::span<const double> values = out.short_series.values;
+  if (values.empty()) return false;
 
-  out.observed_days = ts::WholeDays(out.short_series.size(),
-                                    config_.schedule.round_seconds);
-  out.mean_short = std::accumulate(out.short_series.values.begin(),
-                                   out.short_series.values.end(), 0.0) /
-                   static_cast<double>(out.short_series.values.size());
-
+  out.observed_days = ts::WholeDays(values.size(), schedule.round_seconds);
+  out.mean_short = std::accumulate(values.begin(), values.end(), 0.0) /
+                   static_cast<double>(values.size());
   {
-    const auto span = obs_.Span("analyze.stationarity");
+    const auto span = context.Span("analyze.stationarity");
     out.stationarity = ts::TestStationarity(
-        out.short_series.values, ever_active_,
-        config_.max_trend_addresses_per_day, config_.schedule.round_seconds,
-        scratch.index);
+        values, ever_active, max_trend_addresses_per_day,
+        schedule.round_seconds, scratch.index);
   }
   {
-    const auto span = obs_.Span("analyze.classify");
-    out.diurnal = ClassifyDiurnal(out.short_series.values, out.observed_days,
-                                  config_.diurnal, &obs_, scratch);
+    const auto span = context.Span("analyze.classify");
+    out.diurnal =
+        ClassifyDiurnal(values, out.observed_days, diurnal, obs, scratch);
   }
-  if (obs_.Logs(obs::Level::kDebug)) {
-    obs_.log->Write(
+  if (context.Logs(obs::Level::kDebug)) {
+    context.log->Write(
         obs::Level::kDebug, "block.analyzed",
-        {{"block", block_.ToString()},
+        {{"block", out.block.ToString()},
          {"days", out.observed_days},
          {"mean_short", out.mean_short},
          {"classification",
@@ -147,6 +159,7 @@ void BlockAnalyzer::Finish(AnalysisScratch& scratch,
                                     : "non_diurnal"},
          {"cycles_per_day", out.diurnal.strongest_cycles_per_day}});
   }
+  return true;
 }
 
 }  // namespace sleepwalk::core

@@ -4,14 +4,16 @@
 // This is the composition of the paper's §2.1 and §2.2 for one /24:
 // each round the Trinocular prober runs with the current operational
 // estimate A-hat_o, its (p, t) counts update the estimator, and the
-// short-term estimate A-hat_s is recorded. At the end the series is
-// regularized, trimmed to midnight UTC, stationarity-checked, and
-// spectrally classified.
+// short-term estimate A-hat_s is recorded. At the end AnalyzeSeries, the
+// one §2.2 chain that the store sweep and dataset re-analysis also run,
+// regularizes, trims to midnight UTC, stationarity-checks, and
+// spectrally classifies the series.
 #ifndef SLEEPWALK_CORE_BLOCK_ANALYZER_H_
 #define SLEEPWALK_CORE_BLOCK_ANALYZER_H_
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sleepwalk/core/analysis_scratch.h"
@@ -70,7 +72,25 @@ struct BlockAnalysis {
   int down_rounds = 0;            ///< rounds with an outage verdict
   std::vector<std::int64_t> outage_starts;  ///< first round of each outage
   std::vector<OutageEpisode> outages;       ///< contiguous down episodes
+
+  /// Resets every field in place; clear() keeps the vectors' capacity
+  /// where a fresh BlockAnalysis{} would free it.
+  void Reset(net::Prefix24 for_block, int ever_active_count,
+             bool was_probed) noexcept;
 };
+
+/// The §2.2 stage chain: Regularize `raw`, TrimToMidnightUtc into
+/// out.short_series, then WholeDays, mean, TestStationarity and
+/// ClassifyDiurnal into `out` (reset by the caller). With no `raw` it
+/// enters at the tail, on the trimmed out.short_series of a stored
+/// dataset. `obs` (nullable) gets the analyze.* spans and the debug log.
+/// Returns true when the block reached classification.
+bool AnalyzeSeries(std::optional<std::span<const ts::Observation>> raw,
+                   int ever_active, const probing::ScheduleConfig& schedule,
+                   const DiurnalConfig& diurnal,
+                   double max_trend_addresses_per_day,
+                   const obs::Context* obs, AnalysisScratch& scratch,
+                   BlockAnalysis& out);
 
 /// Drives one block through a probing campaign.
 class BlockAnalyzer {

@@ -1,7 +1,6 @@
 #include "sleepwalk/core/dataset.h"
 
 #include <cstring>
-#include <numeric>
 #include <utility>
 
 #include "sleepwalk/core/dataset_columnar.h"
@@ -201,33 +200,13 @@ void ReanalyzeSeries(net::Prefix24 block, int ever_active, bool probed,
                      std::int64_t first_round, std::span<const double> values,
                      const AnalyzerConfig& config, AnalysisScratch& scratch,
                      BlockAnalysis& out) {
-  // Reset in place; clear()/assign keep capacities warm across the
-  // reanalysis loop (see BlockAnalyzer::Finish).
-  out.block = block;
-  out.ever_active = ever_active;
-  out.probed = probed;
+  out.Reset(block, ever_active, probed);
   out.short_series.first_round = first_round;
   out.short_series.values.assign(values.begin(), values.end());
-  out.observed_days = 0;
-  out.diurnal = DiurnalResult{};
-  out.stationarity = ts::StationarityResult{};
-  out.mean_short = 0.0;
-  out.final_operational = 0.0;
-  out.mean_probes_per_round = 0.0;
-  out.down_rounds = 0;
-  out.outage_starts.clear();
-  out.outages.clear();
-  if (!probed || values.empty()) return;
-
-  out.observed_days = ts::WholeDays(values.size(),
-                                    config.schedule.round_seconds);
-  out.mean_short = std::accumulate(values.begin(), values.end(), 0.0) /
-                   static_cast<double>(values.size());
-  out.stationarity = ts::TestStationarity(
-      values, ever_active, config.max_trend_addresses_per_day,
-      config.schedule.round_seconds, scratch.index);
-  out.diurnal = ClassifyDiurnal(values, out.observed_days, config.diurnal,
-                                nullptr, scratch);
+  if (!probed) return;
+  // The stored series is already trimmed: enter the chain at its tail.
+  AnalyzeSeries(std::nullopt, ever_active, config.schedule, config.diurnal,
+                config.max_trend_addresses_per_day, nullptr, scratch, out);
 }
 
 }  // namespace sleepwalk::core

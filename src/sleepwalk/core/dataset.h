@@ -102,11 +102,10 @@ BlockAnalysis Reanalyze(const StoredSeries& stored,
 void Reanalyze(const StoredSeries& stored, const AnalyzerConfig& config,
                AnalysisScratch& scratch, BlockAnalysis& out);
 
-/// THE stored-series analysis chain (WholeDays -> mean -> stationarity
-/// -> classify) over caller-owned samples. Both dataset layouts
-/// delegate here — decoded per-block vectors, and SLPW v3 straight off
-/// the mapped f32 column — which is what makes their re-analyses
-/// bitwise identical.
+/// Re-analyzes caller-owned samples of an already-trimmed series: they
+/// are copied into out.short_series and AnalyzeSeries
+/// (core/block_analyzer.h) runs from its tail, so a stored block goes
+/// through the very stage chain the live Finish() ran.
 void ReanalyzeSeries(net::Prefix24 block, int ever_active, bool probed,
                      std::int64_t first_round, std::span<const double> values,
                      const AnalyzerConfig& config, AnalysisScratch& scratch,

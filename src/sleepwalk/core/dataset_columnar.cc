@@ -168,19 +168,6 @@ storage::Error MapDatasetColumnar(storage::Env& env, const std::string& path,
   return ParseDatasetColumnar(region.bytes(), view, path);
 }
 
-void ReanalyzeColumnar(const ColumnarDatasetView& view, std::size_t i,
-                       const AnalyzerConfig& config, AnalysisScratch& scratch,
-                       BlockAnalysis& out) {
-  const auto series = view.SeriesOf(i);
-  scratch.samples.resize(series.size());
-  for (std::size_t k = 0; k < series.size(); ++k) {
-    scratch.samples[k] = static_cast<double>(series[k]);
-  }
-  ReanalyzeSeries(net::Prefix24::FromIndex(view.prefix[i]),
-                  view.ever_active[i], view.probed[i] != 0,
-                  view.first_round[i], scratch.samples, config, scratch, out);
-}
-
 Dataset MaterializeDataset(const ColumnarDatasetView& view) {
   Dataset dataset;
   dataset.round_seconds = view.round_seconds;

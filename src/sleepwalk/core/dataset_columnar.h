@@ -6,9 +6,8 @@
 // v3 container engine (storage/columnar.h): per-block attributes are
 // fixed-width columns, every cleaned A-hat_s series is concatenated
 // into ONE f32 values column addressed by per-block offset/count
-// columns, and the whole file is CRC'd per column. A reader maps the
-// file (storage::Env::Map) and re-analyzes straight off the mapping —
-// no per-block vectors are ever materialized.
+// columns, and the whole file is CRC'd per column, so a reader can map
+// the file (storage::Env::Map) and validate or walk it in place.
 //
 // Layout (SLPW magic, version 3, kind kDatasetColumnarKind):
 //   META        u64[4]  round_seconds | epoch_sec | blocks | samples
@@ -91,17 +90,8 @@ storage::Error MapDatasetColumnar(storage::Env& env, const std::string& path,
                                   storage::MappedRegion& region,
                                   ColumnarDatasetView& view);
 
-/// Re-analyzes block i straight off the view (f32 samples widened into
-/// `scratch.samples`, then the exact Reanalyze stage chain). Bitwise
-/// identical to Reanalyze() of the same block materialized as a
-/// Dataset.
-void ReanalyzeColumnar(const ColumnarDatasetView& view, std::size_t i,
-                       const AnalyzerConfig& config, AnalysisScratch& scratch,
-                       BlockAnalysis& out);
-
-/// Materializes a v3 view into the Dataset struct (for consumers that
-/// want per-block vectors; the scale path should sweep the view
-/// directly instead).
+/// Materializes a v3 view into the Dataset struct, the form every
+/// reader re-analyzes (ReanalyzeDataset, core/pipeline.h).
 Dataset MaterializeDataset(const ColumnarDatasetView& view);
 
 }  // namespace sleepwalk::core

@@ -344,6 +344,39 @@ int HardwareWorkers() noexcept {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+std::size_t FanOutWorkers(std::size_t n, std::size_t grain,
+                          int workers) noexcept {
+  grain = std::max<std::size_t>(grain, 1);
+  const std::size_t chunks = n / grain + (n % grain != 0 ? 1 : 0);
+  const auto requested =
+      static_cast<std::size_t>(workers > 0 ? workers : HardwareWorkers());
+  return std::min(requested, std::max<std::size_t>(chunks, 1));
+}
+
+void ForEachChunk(
+    std::size_t n, std::size_t grain, int workers,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
+  grain = std::max<std::size_t>(grain, 1);
+  const std::size_t used = FanOutWorkers(n, grain, workers);
+  std::atomic<std::size_t> next{0};
+  const auto run = [&](std::size_t worker) {
+    while (true) {
+      const std::size_t begin =
+          next.fetch_add(grain, std::memory_order_relaxed);
+      if (begin >= n) return;
+      body(worker, begin, std::min(n, begin + grain));
+    }
+  };
+  if (used == 1) {
+    run(0);
+    return;
+  }
+  std::vector<std::thread> pool;
+  pool.reserve(used);
+  for (std::size_t w = 0; w < used; ++w) pool.emplace_back(run, w);
+  for (auto& thread : pool) thread.join();
+}
+
 CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
                                     const ShardFactory& factory,
                                     std::int64_t n_rounds,
@@ -467,11 +500,8 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
     return ledger.TakeOutcome();
   }
 
-  const std::size_t remaining = targets.size() - first_block;
-  const int requested =
-      parallel.workers > 0 ? parallel.workers : HardwareWorkers();
   const std::size_t n_workers =
-      std::min(static_cast<std::size_t>(std::max(requested, 1)), remaining);
+      FanOutWorkers(targets.size() - first_block, 1, parallel.workers);
 
   ObsShape shape;
   shape.log = obs.log != nullptr;

@@ -44,6 +44,21 @@ namespace sleepwalk::core {
 /// concurrency, floored at 1.
 int HardwareWorkers() noexcept;
 
+/// The one worker-count rule: `workers` <= 0 means HardwareWorkers(),
+/// clamped to [1, number of `grain`-sized chunks of [0, n)], so no
+/// thread ever starts without work.
+std::size_t FanOutWorkers(std::size_t n, std::size_t grain,
+                          int workers) noexcept;
+
+/// Calls body(worker, begin, end) for every `grain`-sized chunk of
+/// [0, n), claimed from one counter by FanOutWorkers(n, grain, workers)
+/// threads; `worker` indexes the claiming thread, for per-worker state.
+/// grain = 1 balances uneven items, grain = ceil(n / workers) gives each
+/// thread one contiguous range. One worker runs inline, with no thread.
+void ForEachChunk(
+    std::size_t n, std::size_t grain, int workers,
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& body);
+
 /// One worker's private transport chain. The factory must build chains
 /// that are *interchangeable*: identically seeded and identically
 /// configured, so a block probes the same whichever worker runs it (the

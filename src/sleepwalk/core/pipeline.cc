@@ -1,14 +1,10 @@
 #include "sleepwalk/core/pipeline.h"
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <utility>
 
 #include "sleepwalk/core/campaign_ledger.h"
 #include "sleepwalk/core/dataset.h"
-#include "sleepwalk/core/dataset_columnar.h"
 #include "sleepwalk/core/parallel_executor.h"
 
 namespace sleepwalk::core {
@@ -41,67 +37,18 @@ std::vector<BlockAnalysis> ReanalyzeDataset(const Dataset& dataset,
                                             int workers) {
   const std::size_t n = dataset.blocks.size();
   std::vector<BlockAnalysis> analyses(n);
-  if (n == 0) return analyses;
-  const std::size_t n_workers = std::min<std::size_t>(
-      static_cast<std::size_t>(workers > 0 ? workers : HardwareWorkers()), n);
-  // Classification is a pure function of one stored series, so a shared
-  // claim counter plus by-index writes into the pre-sized vector needs
-  // no further synchronization and keeps the output order fixed. Each
-  // worker owns one AnalysisScratch for its whole run, so the loop
-  // allocates only while buffer capacities warm up.
-  std::atomic<std::size_t> next{0};
-  std::vector<std::thread> pool;
-  pool.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    pool.emplace_back([&] {
-      AnalysisScratch scratch;
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        Reanalyze(dataset.blocks[i], config, scratch, analyses[i]);
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
+  // By-index writes into the pre-sized vector need no synchronization;
+  // one AnalysisScratch per worker keeps the loop allocation-free once
+  // its capacities are warm.
+  std::vector<AnalysisScratch> scratch(FanOutWorkers(n, 1, workers));
+  ForEachChunk(n, 1, workers,
+               [&](std::size_t worker, std::size_t begin, std::size_t end) {
+                 for (std::size_t i = begin; i < end; ++i) {
+                   Reanalyze(dataset.blocks[i], config, scratch[worker],
+                             analyses[i]);
+                 }
+               });
   return analyses;
-}
-
-DiurnalCounts ReanalyzeDatasetColumnar(const ColumnarDatasetView& view,
-                                       const AnalyzerConfig& config,
-                                       int workers) {
-  const std::size_t n = view.size();
-  DiurnalCounts counts;
-  if (n == 0) return counts;
-  const std::size_t n_workers = std::min<std::size_t>(
-      static_cast<std::size_t>(workers > 0 ? workers : HardwareWorkers()), n);
-  // Same claim-counter fan-out as ReanalyzeDataset, but each worker
-  // folds into a private DiurnalCounts and reuses ONE BlockAnalysis —
-  // nothing per-block is ever materialized, which is what lets the
-  // 1M-block sweep run in O(workers) memory over the mapping.
-  std::atomic<std::size_t> next{0};
-  std::vector<DiurnalCounts> partial(n_workers);
-  std::vector<std::thread> pool;
-  pool.reserve(n_workers);
-  for (std::size_t w = 0; w < n_workers; ++w) {
-    pool.emplace_back([&, w] {
-      AnalysisScratch scratch;
-      BlockAnalysis analysis;
-      while (true) {
-        const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n) return;
-        ReanalyzeColumnar(view, i, config, scratch, analysis);
-        ClassifyAnalysis(analysis, /*quarantined=*/false, partial[w]);
-      }
-    });
-  }
-  for (auto& thread : pool) thread.join();
-  for (const auto& p : partial) {
-    counts.strict += p.strict;
-    counts.relaxed += p.relaxed;
-    counts.non_diurnal += p.non_diurnal;
-    counts.skipped += p.skipped;
-  }
-  return counts;
 }
 
 }  // namespace sleepwalk::core

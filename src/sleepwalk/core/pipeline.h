@@ -90,24 +90,13 @@ DatasetResult RunCampaign(std::vector<BlockTarget> targets,
 struct Dataset;  // core/dataset.h
 
 /// Re-analyzes every stored series of `dataset` (stationarity screen +
-/// FFT diurnal classification), fanning the independent blocks across
-/// `workers` threads (<= 0 = HardwareWorkers()). Block i's analysis
-/// lands at index i and classification is a pure per-block function, so
-/// the result is identical for any worker count.
+/// FFT diurnal classification), one block per claim on `workers`
+/// threads (<= 0 = HardwareWorkers(), never more than there are blocks).
+/// Block i's analysis lands at index i and classification is a pure
+/// per-block function, so the result is identical for any worker count.
 std::vector<BlockAnalysis> ReanalyzeDataset(const Dataset& dataset,
                                             const AnalyzerConfig& config = {},
                                             int workers = 0);
-
-struct ColumnarDatasetView;  // core/dataset_columnar.h
-
-/// Re-analyzes an SLPW v3 dataset straight off its mapped view and
-/// aggregates DiurnalCounts — no per-block vectors or output analyses
-/// are materialized, so a 1M-block sweep stays O(workers) in memory.
-/// Counts match ReanalyzeDataset + ClassifyAnalysis of the same data
-/// materialized as a Dataset exactly.
-DiurnalCounts ReanalyzeDatasetColumnar(const ColumnarDatasetView& view,
-                                       const AnalyzerConfig& config = {},
-                                       int workers = 0);
 
 }  // namespace sleepwalk::core
 

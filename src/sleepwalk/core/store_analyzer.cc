@@ -1,122 +1,73 @@
 #include "sleepwalk/core/store_analyzer.h"
 
-#include <algorithm>
-#include <numeric>
-#include <thread>
 #include <vector>
 
-#include "sleepwalk/ts/clean.h"
-#include "sleepwalk/ts/stationarity.h"
+#include "sleepwalk/core/block_analyzer.h"
+#include "sleepwalk/core/campaign_ledger.h"
+#include "sleepwalk/core/parallel_executor.h"
 
 namespace sleepwalk::core {
 
-StoreAnalyzeStats AnalyzeStoreRange(BlockStore& store, std::size_t begin,
-                                    std::size_t end,
-                                    const StoreAnalyzerConfig& config,
-                                    AnalysisScratch& scratch) {
+namespace {
+
+/// One worker's state, aligned so two workers never share a cache line.
+struct alignas(64) SweepWorker {
+  AnalysisScratch scratch;
+  BlockAnalysis analysis;
   StoreAnalyzeStats stats;
-  end = std::min(end, store.size());
+};
+
+void AnalyzeRange(BlockStore& store, std::size_t begin, std::size_t end,
+                  const StoreAnalyzerConfig& config, SweepWorker& worker) {
   const auto prefixes = store.prefix_index();
   const auto rounds = store.rounds();
-  const auto probes = store.probes();
-  const auto down_rounds = store.down_rounds();
-  const auto flags = store.flags();
   const auto ever_active = store.ever_active();
-
+  BlockAnalysis& analysis = worker.analysis;
   for (std::size_t i = begin; i < end; ++i) {
-    // Mirror of BlockAnalyzer::Finish + VerdictOf, field for field. The
-    // verdict starts from the Finish() reset state (all zero) with the
-    // identity/bookkeeping fields the sweep does not compute preserved.
-    BlockVerdict verdict;
-    verdict.prefix_index = prefixes[i];
-    verdict.quarantined = (flags[i] & kBlockFlagQuarantined) != 0;
-    verdict.ever_active = ever_active[i];
-    verdict.probed = rounds[i] > 0;
     const AvailabilityState estimator = store.ExportEstimator(i);
-    if (!verdict.probed) {
-      store.RecordVerdict(i, verdict, estimator);
-      continue;
+    analysis.Reset(net::Prefix24::FromIndex(prefixes[i]), ever_active[i],
+                   rounds[i] > 0);
+    if (analysis.probed) {
+      ++worker.stats.analyzed;
+      analysis.final_operational =
+          AvailabilityOperational(estimator, store.config());
+      analysis.mean_probes_per_round =
+          static_cast<double>(store.probes()[i]) /
+          static_cast<double>(rounds[i]);
+      analysis.down_rounds = store.down_rounds()[i];
+      store.CopySeriesOrdered(i, worker.scratch.observations);
+      if (AnalyzeSeries(worker.scratch.observations, ever_active[i],
+                        config.schedule, config.diurnal,
+                        config.max_trend_addresses_per_day, nullptr,
+                        worker.scratch, analysis)) {
+        ++worker.stats.classified;
+        if (analysis.diurnal.IsDiurnal()) ++worker.stats.diurnal;
+      }
     }
-    ++stats.analyzed;
-
-    // Accounting stage (set even when the series is too short to
-    // classify, exactly like the scalar path).
-    verdict.final_operational =
-        AvailabilityOperational(estimator, store.config());
-    verdict.mean_probes_per_round = static_cast<double>(probes[i]) /
-                                    static_cast<double>(rounds[i]);
-    verdict.down_rounds = down_rounds[i];
-
-    store.CopySeriesOrdered(i, scratch.observations);
-    bool ok = ts::Regularize(
-        std::span<const ts::Observation>(scratch.observations),
-        scratch.regularize, scratch.even);
-    if (ok) {
-      ok = ts::TrimToMidnightUtc(scratch.even, config.schedule.epoch_sec,
-                                 config.schedule.round_seconds,
-                                 scratch.trimmed);
-    }
-    if (!ok) {
-      store.RecordVerdict(i, verdict, estimator);
-      continue;
-    }
-
-    verdict.observed_days = ts::WholeDays(scratch.trimmed.size(),
-                                          config.schedule.round_seconds);
-    verdict.mean_short =
-        std::accumulate(scratch.trimmed.values.begin(),
-                        scratch.trimmed.values.end(), 0.0) /
-        static_cast<double>(scratch.trimmed.values.size());
-    verdict.stationary =
-        ts::TestStationarity(scratch.trimmed.values, ever_active[i],
-                             config.max_trend_addresses_per_day,
-                             config.schedule.round_seconds, scratch.index)
-            .stationary;
-
-    ++stats.classified;
-    const DiurnalResult diurnal =
-        ClassifyDiurnal(scratch.trimmed.values, verdict.observed_days,
-                        config.diurnal, nullptr, scratch);
-    verdict.classification =
-        static_cast<std::uint8_t>(diurnal.classification);
-    if (diurnal.IsDiurnal()) ++stats.diurnal;
+    BlockVerdict verdict = VerdictOf(
+        analysis, (store.flags()[i] & kBlockFlagQuarantined) != 0);
+    verdict.prefix_index = prefixes[i];  // Prefix24 keeps only 24 bits
     store.RecordVerdict(i, verdict, estimator);
   }
-  return stats;
 }
+
+}  // namespace
 
 StoreAnalyzeStats AnalyzeStore(BlockStore& store,
                                const StoreAnalyzerConfig& config,
                                int workers) {
   const std::size_t n = store.size();
-  const int used = std::max(
-      1, std::min(workers, static_cast<int>(n == 0 ? 1 : n)));
-  if (used == 1) {
-    AnalysisScratch scratch;
-    return AnalyzeStoreRange(store, 0, n, config, scratch);
-  }
-  // Contiguous ranges like the campaign's RunSegment: every verdict is
-  // index-local, so the columns come out byte-identical at any width.
-  std::vector<StoreAnalyzeStats> partial(static_cast<std::size_t>(used));
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(used));
-  const std::size_t chunk = (n + used - 1) / used;
-  for (int w = 0; w < used; ++w) {
-    const std::size_t begin = std::min(n, w * chunk);
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([&store, &config, &partial, w, begin, end] {
-      AnalysisScratch scratch;
-      partial[static_cast<std::size_t>(w)] =
-          AnalyzeStoreRange(store, begin, end, config, scratch);
-    });
-  }
-  for (auto& thread : pool) thread.join();
+  const std::size_t used = FanOutWorkers(n, 1, workers);
+  std::vector<SweepWorker> state(used);
+  ForEachChunk(n, (n + used - 1) / used, workers,
+               [&](std::size_t worker, std::size_t begin, std::size_t end) {
+                 AnalyzeRange(store, begin, end, config, state[worker]);
+               });
   StoreAnalyzeStats stats;
-  for (const auto& p : partial) {
-    stats.analyzed += p.analyzed;
-    stats.classified += p.classified;
-    stats.diurnal += p.diurnal;
+  for (const auto& worker : state) {
+    stats.analyzed += worker.stats.analyzed;
+    stats.classified += worker.stats.classified;
+    stats.diurnal += worker.stats.diurnal;
   }
   return stats;
 }

@@ -1,20 +1,17 @@
 // End-of-campaign analysis as a batch sweep over BlockStore columns.
 //
-// The scalar path (BlockAnalyzer::Finish) finalizes one block at a
-// time from per-block heap state. At paper scale the analyzer input
-// lives in the store's series ring columns instead, and this sweep
-// runs the identical stage chain — copy the ring in round order,
-// ts::Regularize, ts::TrimToMidnightUtc, mean, ts::TestStationarity,
-// ClassifyDiurnal through the plan cache — over contiguous block
-// ranges, reusing ONE AnalysisScratch (and thus one FftScratch) per
-// worker. Results land in the store's existing verdict columns.
+// The live path (BlockAnalyzer::Finish) finalizes one block at a time
+// from per-block heap state. At paper scale the analyzer input lives in
+// the store's series ring columns instead: this sweep copies each ring
+// in round order through AnalyzeSeries (core/block_analyzer.h), the
+// chain Finish runs, into ONE BlockAnalysis and AnalysisScratch per
+// worker, and records it through VerdictOf, the projection a live commit
+// uses. Only the accounting fields come from the store's columns.
 //
-// Equivalence contract: for the same recorded samples the verdict
-// columns are bitwise identical to projecting the scalar
-// BlockAnalyzer::Finish output through VerdictOf (campaign_ledger.cc)
-// — same ts::/core:: calls, same doubles, same order; proven by
-// tests/core/store_analyzer_test.cc and re-checked at scale by
-// bench/parallel_scaling.
+// So for the same recorded samples the verdict columns equal
+// BlockAnalyzer::Finish + VerdictOf by construction;
+// tests/core/store_analyzer_test.cc checks them against a hand-written
+// reference, and bench/parallel_scaling re-checks them at scale.
 //
 // Every classified block gets the whole spectrum: the §2.2 dominance
 // test and strongest_bin compare the daily bin against every other
@@ -24,7 +21,6 @@
 
 #include <cstdint>
 
-#include "sleepwalk/core/analysis_scratch.h"
 #include "sleepwalk/core/block_store.h"
 #include "sleepwalk/core/diurnal.h"
 #include "sleepwalk/probing/scheduler.h"
@@ -46,16 +42,9 @@ struct StoreAnalyzeStats {
   std::uint64_t diurnal = 0;       ///< classified != non-diurnal
 };
 
-/// Analyzes blocks [begin, end) in place, one block at a time through
-/// `scratch`. Single-threaded; the unit of work AnalyzeStore shards.
-StoreAnalyzeStats AnalyzeStoreRange(BlockStore& store, std::size_t begin,
-                                    std::size_t end,
-                                    const StoreAnalyzerConfig& config,
-                                    AnalysisScratch& scratch);
-
-/// Full-store sweep with `workers` threads owning contiguous ranges
-/// (serial when <= 1). Block verdicts are index-local, so any worker
-/// count produces byte-identical columns.
+/// Full-store sweep, one contiguous range per worker thread (<= 0 =
+/// HardwareWorkers(), never more than there are blocks). Block verdicts
+/// are index-local, so any worker count produces byte-identical columns.
 StoreAnalyzeStats AnalyzeStore(BlockStore& store,
                                const StoreAnalyzerConfig& config,
                                int workers = 1);

@@ -1,8 +1,9 @@
 #include "sleepwalk/core/store_campaign.h"
 
 #include <algorithm>
-#include <thread>
 #include <vector>
+
+#include "sleepwalk/core/parallel_executor.h"
 
 namespace sleepwalk::core {
 
@@ -41,30 +42,16 @@ void RunWorker(BlockStore& store, const StoreCampaignConfig& config,
   }
 }
 
-/// Runs rounds [first, last) across all blocks with `workers` threads
-/// owning contiguous ranges; serial when workers <= 1.
+/// Runs rounds [first, last) across all blocks, one contiguous range of
+/// ceil(blocks / workers) blocks per worker thread.
 void RunSegment(BlockStore& store, const StoreCampaignConfig& config,
                 std::int64_t first, std::int64_t last) {
   const std::size_t n = store.size();
-  const int workers =
-      std::max(1, std::min(config.workers,
-                           static_cast<int>(n == 0 ? 1 : n)));
-  if (workers == 1) {
-    RunWorker(store, config, 0, n, first, last);
-    return;
-  }
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  const std::size_t chunk = (n + workers - 1) / workers;
-  for (int w = 0; w < workers; ++w) {
-    const std::size_t begin = std::min(n, w * chunk);
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    pool.emplace_back([&store, &config, begin, end, first, last] {
-      RunWorker(store, config, begin, end, first, last);
-    });
-  }
-  for (auto& thread : pool) thread.join();
+  const std::size_t workers = FanOutWorkers(n, 1, config.workers);
+  ForEachChunk(n, (n + workers - 1) / workers, config.workers,
+               [&](std::size_t, std::size_t begin, std::size_t end) {
+                 RunWorker(store, config, begin, end, first, last);
+               });
 }
 
 }  // namespace
@@ -143,8 +130,7 @@ StoreCampaignOutcome RunStoreCampaign(BlockStore& store,
     // columns, so a resume of a completed campaign (and the byte-
     // identity proof across kill points) sees classified state.
     if (config.classify && rounds_done >= config.n_rounds) {
-      const int workers = std::max(1, config.workers);
-      outcome.analyze = AnalyzeStore(store, config.analyzer, workers);
+      outcome.analyze = AnalyzeStore(store, config.analyzer, config.workers);
     }
 
     if (checkpointing) {

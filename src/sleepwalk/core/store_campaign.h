@@ -40,6 +40,9 @@ struct StoreCampaignConfig {
   std::size_t n_blocks = 0;
   std::int64_t n_rounds = 0;
   std::uint64_t seed = 0x51ee9;
+  /// Worker threads for the rounds and the classify sweep, each owning a
+  /// contiguous block range; <= 0 means HardwareWorkers(), and never
+  /// more than there are blocks (FanOutWorkers, parallel_executor.h).
   int workers = 1;
   AvailabilityConfig availability;
 

@@ -1,14 +1,17 @@
-// Thread-safety stress for the parallel executor, built as its own
-// binary so the CI `tsan` job can run exactly this under
-// -fsanitize=thread (alongside the obs concurrency stress). Assertions
-// here are sanity floors; the real oracle is the sanitizer observing
-// 8 workers stealing work, probing through fault-injecting chains, and
-// publishing results through the completion queue while the coordinator
-// merges telemetry and writes checkpoints.
+// Thread-safety stress for the parallel executor and the ForEachChunk
+// fan-out, built as its own binary so the CI `tsan` job can run exactly
+// this under -fsanitize=thread (alongside the obs concurrency stress).
+// Assertions here are sanity floors; the real oracle is the sanitizer
+// observing 8 workers stealing work, probing through fault-injecting
+// chains, and publishing results through the completion queue while the
+// coordinator merges telemetry and writes checkpoints.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -112,6 +115,62 @@ TEST(ParallelStress, ShardedRateLimiterUnderContention) {
   for (auto& worker : workers) worker.join();
   EXPECT_LE(static_cast<double>(granted.load()), 200.0 * 20.0 + 16.0 + 1.0);
   EXPECT_GT(granted.load(), 0);
+}
+
+TEST(ParallelStress, ForEachChunkVisitsEveryIndexOnceInContiguousChunks) {
+  for (const std::size_t n : {0u, 1u, 7u, 1000u}) {
+    for (const int workers : {1, 3, 8}) {
+      const std::size_t ceil_share =
+          (n + static_cast<std::size_t>(workers) - 1) /
+          static_cast<std::size_t>(workers);
+      for (const std::size_t grain : {std::size_t{1}, ceil_share}) {
+        const std::size_t step = std::max<std::size_t>(grain, 1);
+        const std::size_t chunks = (n + step - 1) / step;
+        const auto max_threads =
+            std::min(static_cast<std::size_t>(workers), chunks);
+        SCOPED_TRACE("n " + std::to_string(n) + " workers " +
+                     std::to_string(workers) + " grain " +
+                     std::to_string(grain));
+        std::vector<std::atomic<int>> visits(n);
+        std::mutex mutex;
+        std::set<std::thread::id> threads;
+        std::atomic<bool> bad_chunk{false};
+        core::ForEachChunk(
+            n, grain, workers,
+            [&](std::size_t worker, std::size_t begin, std::size_t end) {
+              // A chunk is [k * grain, min(n, (k + 1) * grain)).
+              if (begin % step != 0 || end != std::min(n, begin + step) ||
+                  worker >= max_threads) {
+                bad_chunk.store(true);
+                return;
+              }
+              for (std::size_t i = begin; i < end; ++i) visits[i].fetch_add(1);
+              const std::lock_guard<std::mutex> lock{mutex};
+              threads.insert(std::this_thread::get_id());
+            });
+        EXPECT_FALSE(bad_chunk.load());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(visits[i].load(), 1) << "index " << i;
+        }
+        EXPECT_LE(threads.size(), max_threads);
+        EXPECT_EQ(core::FanOutWorkers(n, grain, workers),
+                  std::max<std::size_t>(max_threads, 1));
+        if (max_threads == 1) {
+          // One worker runs inline: no thread is started.
+          EXPECT_EQ(threads.count(std::this_thread::get_id()), 1u);
+        }
+      }
+    }
+  }
+}
+
+TEST(ParallelStress, FanOutWorkersResolvesZeroToTheHardware) {
+  const auto hw = static_cast<std::size_t>(core::HardwareWorkers());
+  EXPECT_EQ(core::FanOutWorkers(1000, 1, 0), std::min<std::size_t>(hw, 1000));
+  EXPECT_EQ(core::FanOutWorkers(1000, 1, -2), std::min<std::size_t>(hw, 1000));
+  EXPECT_EQ(core::FanOutWorkers(2, 1, 0), std::min<std::size_t>(hw, 2));
+  EXPECT_EQ(core::FanOutWorkers(0, 1, 0), 1u);
+  EXPECT_EQ(core::FanOutWorkers(10, 4, 8), 3u);  // ceil(10 / 4) chunks
 }
 
 }  // namespace

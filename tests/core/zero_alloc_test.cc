@@ -1,9 +1,10 @@
 // Allocation-count tests for the analysis hot loop: once scratch and
 // output capacities are warm, BlockAnalyzer::Finish / Reanalyze /
-// ComputeSpectrum must perform ZERO heap
-// allocations (DESIGN.md §10). Built as its own binary because it
-// replaces the global operator new/delete with counting versions —
-// that replacement is process-wide and must not leak into other suites.
+// ComputeSpectrum and every block of an AnalyzeStore sweep must perform
+// ZERO heap allocations (DESIGN.md §10, §16). Built as its own binary
+// because it replaces the global operator new/delete with counting
+// versions — that replacement is process-wide and must not leak into
+// other suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +14,10 @@
 #include <vector>
 
 #include "sleepwalk/core/block_analyzer.h"
+#include "sleepwalk/core/block_store.h"
 #include "sleepwalk/core/dataset.h"
+#include "sleepwalk/core/store_analyzer.h"
+#include "sleepwalk/core/store_campaign.h"
 #include "sleepwalk/fft/plan.h"
 #include "sleepwalk/fft/spectrum.h"
 #include "sleepwalk/probing/scheduler.h"
@@ -178,6 +182,55 @@ TEST(ZeroAlloc, ReanalyzeSteadyState) {
   Reanalyze(stored, config, scratch, analysis);
   EXPECT_EQ(counter.count(), 0u)
       << "Reanalyze() allocated on a warm scratch/output pair";
+}
+
+/// A store of `n_blocks` synthetic blocks driven for 400 rounds through
+/// 300-slot series rings, so every ring has wrapped.
+void FillWrappedStore(BlockStore& store, std::size_t n_blocks) {
+  store.Reset(n_blocks, {}, 300);
+  for (std::size_t i = 0; i < n_blocks; ++i) {
+    const auto prefix = static_cast<std::uint32_t>(i);
+    store.SeedBlock(i, prefix, SyntheticInitialAvailability(7, prefix));
+    store.SetEverActive(i, SyntheticEverActive(7, prefix));
+  }
+  std::vector<RoundSample> samples(n_blocks);
+  for (std::int64_t round = 0; round < 400; ++round) {
+    for (std::size_t i = 0; i < n_blocks; ++i) {
+      samples[i] =
+          SyntheticRoundSample(7, static_cast<std::uint32_t>(i), round);
+    }
+    store.ObserveRound(0, n_blocks, samples);
+    store.RecordSeriesRound(0, n_blocks, round);
+  }
+}
+
+TEST(ZeroAlloc, StoreSweepSteadyState) {
+  // A sweep allocates its per-worker state (scratch + one BlockAnalysis)
+  // once per call; every block after the first must allocate nothing. So
+  // a warm sweep over 64 blocks allocates exactly what one over 4 does.
+  BlockStore small;
+  BlockStore large;
+  FillWrappedStore(small, 4);
+  FillWrappedStore(large, 64);
+  const StoreAnalyzerConfig config;
+  AnalyzeStore(small, config, 1);  // warms the shared FFT plan cache
+
+  std::size_t small_allocations = 0;
+  {
+    AllocationCounter counter;
+    AnalyzeStore(small, config, 1);
+    small_allocations = counter.count();
+  }
+  StoreAnalyzeStats stats;
+  std::size_t large_allocations = 0;
+  {
+    AllocationCounter counter;
+    stats = AnalyzeStore(large, config, 1);
+    large_allocations = counter.count();
+  }
+  ASSERT_EQ(stats.classified, 64u);
+  EXPECT_EQ(large_allocations, small_allocations)
+      << "AnalyzeStore allocated per block on warm per-worker state";
 }
 
 TEST(ZeroAlloc, ComputeSpectrumSteadyState) {
