@@ -145,7 +145,10 @@ echo "== tier-1: ASan+UBSan build of the fault/resilience, storage and fft tests
 # writer streams borrowed spans: a column that outlived its memory would
 # be a silent read of freed bytes, not a failed assertion. The store and
 # dataset suites ride along because the store sweep reuses one
-# BlockAnalysis per worker over CopySeriesOrdered's ring indexing.
+# BlockAnalysis per worker over CopySeriesOrdered's ring indexing. The
+# executor and status suites ride along because the coordinator's
+# checkpoint view borrows the ledger's analyses, estimator state
+# included, outside the lock while /statusz reads the ledger.
 cmake -B build-asan -S . \
   -DSLEEPWALK_SANITIZE="address;undefined" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
@@ -154,7 +157,8 @@ cmake --build build-asan -j "${jobs}" --target faults_test integration_test \
 fft_suites='Bluestein|ChirpIndex|FftRadix2InPlace|Forward|ForwardReal|Goertzel|IsPowerOfTwo|NextPowerOfTwoChecked|Plan|PlanCache|Sizes/FftMatchesNaive|Sizes/GoertzelMatchesFft|Spectrum|SpectrumOptions'
 storage_suites='FailpointParse|Failpoint|MemEnv|DirName|RealEnv|AtomicWrite|FaultyEnv|Columnar|ColumnarWriteTo|EveryStep/AtomicWriteFailure|CheckpointRobustness|CheckpointColumnar|DatasetRobustness'
 store_suites='StoreAnalyzer|StoreCampaign|BlockStore|Dataset|DatasetColumnar'
+executor_suites='ParallelExecutor|StatusHub|StatusIntegration|RenderStatusJson|CollectHistogramStatus'
 ctest --test-dir build-asan --output-on-failure -j "${jobs}" --timeout 600 \
-  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${fft_suites}|${storage_suites}|${store_suites})\\."
+  -R "FaultPlan|GilbertElliott|FaultyTransport|Supervisor|ResilienceReport|Determinism|RestartArtifact|ObsInertness|ObsReconciliation|CrashSweep|^(${fft_suites}|${storage_suites}|${store_suites}|${executor_suites})\\."
 
 echo "== tier-1: all green =="

@@ -39,11 +39,12 @@ struct AvailabilityConfig {
   double initial_deviation = 0.1;
 };
 
-/// Snapshot of an estimator's EWMA state, persisted by campaign
-/// checkpoints so a resumed run continues the exact same trajectories.
-/// Also the unit of the columnar block store (core/block_store.h): the
-/// five doubles and the round counter each live in their own column,
-/// and the batched update loops below are the only arithmetic either
+/// Snapshot of an estimator's EWMA state. The measuring engine keeps a
+/// block's final state in its BlockAnalysis, which campaign checkpoints
+/// persist so a resumed run continues the exact same trajectories. The
+/// store engine's columnar block store (core/block_store.h) keeps the
+/// five doubles and the round counter each in their own column, and the
+/// batched update loops below are the only arithmetic either
 /// representation runs — scalar and SoA trajectories are bitwise
 /// identical by construction.
 struct AvailabilityState {

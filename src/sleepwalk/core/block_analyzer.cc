@@ -78,6 +78,7 @@ void BlockAnalyzer::Finish(AnalysisScratch& scratch,
                            BlockAnalysis& out) const {
   const auto finish_span = obs_.Span("analyze.finish");
   out.Reset(block_, ever_active_, prober_.has_value() && rounds_run_ > 0);
+  out.estimator = estimator_.ExportState();
   if (!out.probed) return;
 
   out.final_operational = estimator_.Operational();
@@ -107,6 +108,7 @@ void BlockAnalysis::Reset(net::Prefix24 for_block, int ever_active_count,
   down_rounds = 0;
   outage_starts.clear();
   outages.clear();
+  estimator = AvailabilityState{};
 }
 
 bool AnalyzeSeries(std::optional<std::span<const ts::Observation>> raw,

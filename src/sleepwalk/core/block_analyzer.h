@@ -72,6 +72,10 @@ struct BlockAnalysis {
   int down_rounds = 0;            ///< rounds with an outage verdict
   std::vector<std::int64_t> outage_starts;  ///< first round of each outage
   std::vector<OutageEpisode> outages;       ///< contiguous down episodes
+  /// Final EWMA estimator state (§2.1), unprobed blocks included (their
+  /// seeded prior). Checkpoints persist it so a resumed campaign
+  /// continues the same trajectories; re-analysis leaves it default.
+  AvailabilityState estimator;
 
   /// Resets every field in place; clear() keeps the vectors' capacity
   /// where a fresh BlockAnalysis{} would free it.

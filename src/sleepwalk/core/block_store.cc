@@ -271,8 +271,8 @@ double BlockStore::Operational(std::size_t i) const noexcept {
   return AvailabilityOperational(state, config_);
 }
 
-void BlockStore::RecordVerdict(std::size_t i, const BlockVerdict& verdict,
-                               const AvailabilityState& estimator) noexcept {
+void BlockStore::RecordVerdict(std::size_t i,
+                               const BlockVerdict& verdict) noexcept {
   Column<std::uint32_t>(prefix_off_)[i] = verdict.prefix_index;
   std::uint8_t flags = 0;
   if (verdict.probed) flags |= kBlockFlagProbed;
@@ -286,7 +286,6 @@ void BlockStore::RecordVerdict(std::size_t i, const BlockVerdict& verdict,
   Column<double>(mean_short_off_)[i] = verdict.mean_short;
   Column<double>(final_operational_off_)[i] = verdict.final_operational;
   Column<double>(mean_probes_off_)[i] = verdict.mean_probes_per_round;
-  RestoreEstimator(i, estimator);
 }
 
 #define SLEEPWALK_COLUMN_SPAN(type, offset)                         \

@@ -26,12 +26,13 @@
 // bitwise identical, which the block_store tests prove sample-for-
 // sample against AvailabilityEstimator.
 //
-// The store is the substrate for two consumers:
-//   * the campaign ledger records every committed block's verdict and
-//     final estimator state here (columnar mirror of the outcome);
-//   * the scale runner (core/store_campaign.h) drives 100k-1M block
-//     campaigns directly on the columns, checkpointing through the v3
-//     zero-copy snapshot below.
+// The store serves the store engine only: the scale runner
+// (core/store_campaign.h) drives 100k-1M block campaigns directly on
+// the columns, checkpointing through the v3 zero-copy snapshot below,
+// and the sweep (core/store_analyzer.h) writes the verdict columns. The
+// measuring engine (core/parallel_executor.h) keeps each block's final
+// estimator state in its BlockAnalysis instead; the two engines share
+// only AnalyzeSeries and AvailabilityObserve.
 #ifndef SLEEPWALK_CORE_BLOCK_STORE_H_
 #define SLEEPWALK_CORE_BLOCK_STORE_H_
 
@@ -56,8 +57,8 @@ struct RoundSample {
 };
 
 /// A finished block's classification verdict, flattened from
-/// BlockAnalysis (the mapping lives in campaign_ledger.cc so this
-/// header stays below block_analyzer in the include DAG).
+/// BlockAnalysis (the mapping, VerdictOf, lives in store_analyzer.h so
+/// this header stays below block_analyzer in the include DAG).
 struct BlockVerdict {
   std::uint32_t prefix_index = 0;
   bool probed = false;
@@ -143,8 +144,8 @@ class BlockStore {
   /// exists — by the scale campaign.
   void SetEverActive(std::size_t i, std::int32_t count) noexcept;
 
-  /// Estimator state round-trip (checkpoint/resume and the ledger's
-  /// commit path).
+  /// Block i's estimator state as one record (the sweep reads it; tests
+  /// set it).
   AvailabilityState ExportEstimator(std::size_t i) const noexcept;
   void RestoreEstimator(std::size_t i,
                         const AvailabilityState& state) noexcept;
@@ -154,9 +155,9 @@ class BlockStore {
   double ShortTerm(std::size_t i) const noexcept;
   double Operational(std::size_t i) const noexcept;
 
-  /// Records a finished block's verdict and final estimator state.
-  void RecordVerdict(std::size_t i, const BlockVerdict& verdict,
-                     const AvailabilityState& estimator) noexcept;
+  /// Records a finished block's verdict; the estimator columns are left
+  /// as they are.
+  void RecordVerdict(std::size_t i, const BlockVerdict& verdict) noexcept;
 
   // Column views (tests, reports, and the snapshot encoder). Spans are
   // invalidated by Reset().

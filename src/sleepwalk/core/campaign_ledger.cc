@@ -95,21 +95,4 @@ void ClassifyAnalysis(const BlockAnalysis& analysis, bool quarantined,
   }
 }
 
-BlockVerdict VerdictOf(const BlockAnalysis& analysis, bool quarantined) {
-  BlockVerdict verdict;
-  verdict.prefix_index = analysis.block.Index();
-  verdict.probed = analysis.probed;
-  verdict.quarantined = quarantined;
-  verdict.stationary = analysis.stationarity.stationary;
-  verdict.classification =
-      static_cast<std::uint8_t>(analysis.diurnal.classification);
-  verdict.ever_active = analysis.ever_active;
-  verdict.observed_days = analysis.observed_days;
-  verdict.down_rounds = analysis.down_rounds;
-  verdict.mean_short = analysis.mean_short;
-  verdict.final_operational = analysis.final_operational;
-  verdict.mean_probes_per_round = analysis.mean_probes_per_round;
-  return verdict;
-}
-
 }  // namespace sleepwalk::core

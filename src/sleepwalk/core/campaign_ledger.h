@@ -11,8 +11,10 @@
 // Per-block state — the analyzer, the retry counter, the round cursor —
 // deliberately stays thread-local in the workers. Only the coordinator
 // appends analyses, so it may read them outside the lock: a checkpoint
-// save streams straight from the ledger's analyses and store columns
-// (CheckpointViewOf) without holding the lock across file I/O.
+// save streams straight from the ledger's analyses, each carrying its
+// block's final estimator state (CheckpointViewOf), without holding the
+// lock across file I/O. Each finished block has exactly one record, its
+// BlockAnalysis.
 //
 // The free helpers (backoff, gap/restart schedule checks, analysis
 // classification) are the policy pieces every block must compute
@@ -22,13 +24,11 @@
 #ifndef SLEEPWALK_CORE_CAMPAIGN_LEDGER_H_
 #define SLEEPWALK_CORE_CAMPAIGN_LEDGER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "sleepwalk/core/block_analyzer.h"
-#include "sleepwalk/core/block_store.h"
 #include "sleepwalk/core/checkpoint.h"
 #include "sleepwalk/core/status.h"
 #include "sleepwalk/core/supervisor.h"
@@ -95,32 +95,18 @@ struct BlockCommit {
   bool quarantined = false;
   report::ResilienceStats delta;
   std::int64_t rounds_processed = 0;
-  /// Final EWMA estimator state at block completion, recorded into the
-  /// outcome's columnar BlockStore (and persisted by v3 checkpoints).
-  AvailabilityState estimator;
 };
-
-/// Maps a finished block's analysis to its fixed-width columnar verdict
-/// (core/block_store.h). Pure projection: the commit and the resume path
-/// both derive store rows from analyses through this one function, so
-/// the columnar mirror does not depend on whether a block was resumed.
-BlockVerdict VerdictOf(const BlockAnalysis& analysis, bool quarantined);
 
 /// Shared mutable campaign state; see the file comment. All methods are
 /// safe from any thread.
 class CampaignLedger {
  public:
-  explicit CampaignLedger(std::size_t n_targets,
-                          const AvailabilityConfig& availability = {}) {
+  explicit CampaignLedger(std::size_t n_targets) {
     outcome_.result.analyses.reserve(n_targets);
-    outcome_.store.Reset(n_targets, availability);
   }
 
-  /// Resume path: adopt everything a matching checkpoint carried. The
-  /// columnar store rows for adopted blocks are rebuilt through the
-  /// same VerdictOf projection a live commit uses; estimator columns
-  /// are exact when the checkpoint carried them (v3) and defaults
-  /// otherwise.
+  /// Resume path: adopt everything a matching checkpoint carried, the
+  /// completed analyses with their final estimator states included.
   void AdoptCheckpoint(Checkpoint& checkpoint) SLEEPWALK_EXCLUDES(mutex_) {
     util::MutexLock lock{mutex_};
     outcome_.result.analyses = std::move(checkpoint.completed);
@@ -128,21 +114,6 @@ class CampaignLedger {
     outcome_.stats = checkpoint.stats;
     for (const auto index : checkpoint.quarantined) {
       outcome_.quarantined.push_back(net::Prefix24::FromIndex(index));
-    }
-    const auto& analyses = outcome_.result.analyses;
-    for (std::size_t i = 0; i < analyses.size(); ++i) {
-      if (i >= outcome_.store.size()) break;  // foreign-sized checkpoint
-      const bool quarantined =
-          std::find(checkpoint.quarantined.begin(),
-                    checkpoint.quarantined.end(),
-                    analyses[i].block.Index()) != checkpoint.quarantined.end();
-      // A checkpoint built without estimator state keeps the
-      // Reset-seeded defaults rather than clobbering them with zeros.
-      const AvailabilityState estimator =
-          i < checkpoint.estimators.size() ? checkpoint.estimators[i]
-                                           : outcome_.store.ExportEstimator(i);
-      outcome_.store.RecordVerdict(i, VerdictOf(analyses[i], quarantined),
-                                   estimator);
     }
     outcome_.resumed = true;
     outcome_.stats.resumed_from_checkpoint = true;
@@ -158,12 +129,6 @@ class CampaignLedger {
     util::MutexLock lock{mutex_};
     ClassifyAnalysis(commit.analysis, commit.quarantined,
                      outcome_.result.counts);
-    const std::size_t row = outcome_.result.analyses.size();
-    if (row < outcome_.store.size()) {
-      outcome_.store.RecordVerdict(
-          row, VerdictOf(commit.analysis, commit.quarantined),
-          commit.estimator);
-    }
     outcome_.result.analyses.push_back(std::move(commit.analysis));
     if (commit.quarantined) outcome_.quarantined.push_back(commit.block);
     outcome_.stats.Merge(commit.delta);
@@ -176,14 +141,14 @@ class CampaignLedger {
   /// (it counts itself); a failed write is rolled back with
   /// NoteCheckpointWritten(false).
   ///
-  /// The view's `completed` and `estimators` point into the ledger's own
-  /// analyses and BlockStore columns, and the save reads them *outside*
-  /// the lock, so the /statusz provider (which takes the lock) never
-  /// waits on file I/O. That is safe because only the coordinator
-  /// mutates what the view borrows — CommitBlock, AdoptCheckpoint and
-  /// TakeOutcome are coordinator-only — and the coordinator is the one
-  /// thread that saves: nothing the view points at changes until the
-  /// coordinator's next CommitBlock. Coordinator-only, like those three.
+  /// The view's `completed` points into the ledger's own analyses, and
+  /// the save reads them *outside* the lock, so the /statusz provider
+  /// (which takes the lock) never waits on file I/O. That is safe
+  /// because only the coordinator mutates what the view borrows —
+  /// CommitBlock, AdoptCheckpoint and TakeOutcome are coordinator-only —
+  /// and the coordinator is the one thread that saves: nothing the view
+  /// points at changes until the coordinator's next CommitBlock.
+  /// Coordinator-only, like those three.
   CheckpointView CheckpointViewOf(std::uint64_t fingerprint,
                                   std::size_t next_block)
       SLEEPWALK_EXCLUDES(mutex_) {
@@ -192,14 +157,6 @@ class CampaignLedger {
     view.fingerprint = fingerprint;
     view.counts = outcome_.result.counts;
     view.completed = outcome_.result.analyses;
-    const BlockStore& store = outcome_.store;
-    const std::size_t rows = std::min(view.completed.size(), store.size());
-    view.estimators = {store.p_short().first(rows),
-                       store.t_short().first(rows),
-                       store.p_long().first(rows),
-                       store.t_long().first(rows),
-                       store.deviation().first(rows),
-                       store.rounds().first(rows)};
     for (const auto& block : outcome_.quarantined) {
       view.quarantined.push_back(block.Index());
     }

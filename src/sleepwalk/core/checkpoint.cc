@@ -210,7 +210,9 @@ std::optional<Checkpoint> DecodeV3(std::span<const std::uint8_t> bytes,
       outage_start_count, outage_count;
   std::span<const double> daily_amplitude, phase, strongest_amplitude,
       strongest_cycles, slope_per_round, addresses_per_day, mean_short,
-      final_operational, mean_probes;
+      final_operational, mean_probes, est_p_short, est_t_short, est_p_long,
+      est_t_long, est_deviation;
+  std::span<const std::int32_t> est_rounds;
   if (!reader.FetchTyped(kColBlockIndex, n, block_index) ||
       !reader.FetchTyped(kColProbed, n, probed) ||
       !reader.FetchTyped(kColEverActive, n, ever_active) ||
@@ -233,19 +235,14 @@ std::optional<Checkpoint> DecodeV3(std::span<const std::uint8_t> bytes,
       !reader.FetchTyped(kColMeanProbes, n, mean_probes) ||
       !reader.FetchTyped(kColDownRounds, n, down_rounds) ||
       !reader.FetchTyped(kColOutageStartCount, n, outage_start_count) ||
-      !reader.FetchTyped(kColOutageCount, n, outage_count)) {
-    return fail("COMPLETED column missing, mis-typed, or row-count skew");
-  }
-  std::span<const double> est_p_short, est_t_short, est_p_long, est_t_long,
-      est_deviation;
-  std::span<const std::int32_t> est_rounds;
-  if (!reader.FetchTyped(kColEstPShort, n, est_p_short) ||
+      !reader.FetchTyped(kColOutageCount, n, outage_count) ||
+      !reader.FetchTyped(kColEstPShort, n, est_p_short) ||
       !reader.FetchTyped(kColEstTShort, n, est_t_short) ||
       !reader.FetchTyped(kColEstPLong, n, est_p_long) ||
       !reader.FetchTyped(kColEstTLong, n, est_t_long) ||
       !reader.FetchTyped(kColEstDeviation, n, est_deviation) ||
       !reader.FetchTyped(kColEstRounds, n, est_rounds)) {
-    return fail("estimator column missing, mis-typed, or row-count skew");
+    return fail("COMPLETED column missing, mis-typed, or row-count skew");
   }
 
   const storage::ColumnarColumn* series_column =
@@ -266,16 +263,6 @@ std::optional<Checkpoint> DecodeV3(std::span<const std::uint8_t> bytes,
   }
 
   checkpoint.completed.resize(n);
-  checkpoint.estimators.resize(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    AvailabilityState& state = checkpoint.estimators[i];
-    state.p_short = est_p_short[i];
-    state.t_short = est_t_short[i];
-    state.p_long = est_p_long[i];
-    state.t_long = est_t_long[i];
-    state.deviation = est_deviation[i];
-    state.rounds = est_rounds[i];
-  }
   std::uint64_t series_cursor = 0;
   std::uint64_t starts_cursor = 0;
   std::uint64_t outages_cursor = 0;  // in pairs
@@ -329,6 +316,8 @@ std::optional<Checkpoint> DecodeV3(std::span<const std::uint8_t> bytes,
           outage_pairs[2 * (outages_cursor + o) + 1];
     }
     outages_cursor += outages;
+    analysis.estimator = {est_p_short[i], est_t_short[i], est_p_long[i],
+                          est_t_long[i], est_deviation[i], est_rounds[i]};
   }
   if (series_cursor != series_values.size() ||
       starts_cursor != outage_starts.size() ||
@@ -359,29 +348,10 @@ std::uint64_t CampaignFingerprint(const std::vector<BlockTarget>& targets,
 
 namespace {
 
-/// Owned SoA estimator rows: an owned Checkpoint's estimators as a view's
-/// columns, or a short view's columns padded with defaults.
-struct EstimatorRows {
-  void Push(const AvailabilityState& state) {
-    p_short.push_back(state.p_short);
-    t_short.push_back(state.t_short);
-    p_long.push_back(state.p_long);
-    t_long.push_back(state.t_long);
-    deviation.push_back(state.deviation);
-    rounds.push_back(util::CheckedNarrow<std::int32_t>(state.rounds));
-  }
-  EstimatorColumns columns() const {
-    return {p_short, t_short, p_long, t_long, deviation, rounds};
-  }
-
-  std::vector<double> p_short, t_short, p_long, t_long, deviation;
-  std::vector<std::int32_t> rounds;
-};
-
 /// Builds `view`'s SLCK v3 column set and returns use(writer). The
-/// writer borrows every payload: the view's estimator columns as they
-/// are, SERIES_VALUES gathered from each analysis's own series, and the
-/// shredded fixed-width columns below, which live until `use` returns.
+/// writer borrows every payload: SERIES_VALUES gathered from each
+/// analysis's own series, and the shredded fixed-width columns below,
+/// which live until `use` returns.
 template <typename Use>
 auto WithCheckpointWriter(const CheckpointView& view, Use&& use) {
   storage::ColumnarWriter writer(std::string_view{kMagic, sizeof(kMagic)},
@@ -418,15 +388,18 @@ auto WithCheckpointWriter(const CheckpointView& view, Use&& use) {
       outage_start_count, outage_count;
   std::vector<double> daily_amplitude, phase, strongest_amplitude,
       strongest_cycles, slope_per_round, addresses_per_day, mean_short,
-      final_operational, mean_probes;
-  for (auto* column :
-       {&ever_active, &observed_days, &n_days, &down_rounds}) {
+      final_operational, mean_probes, est_p_short, est_t_short, est_p_long,
+      est_t_long, est_deviation;
+  std::vector<std::int32_t> est_rounds;
+  for (auto* column : {&ever_active, &observed_days, &n_days, &down_rounds,
+                       &est_rounds}) {
     column->reserve(n);
   }
-  for (auto* column : {&daily_amplitude, &phase, &strongest_amplitude,
-                       &strongest_cycles, &slope_per_round,
-                       &addresses_per_day, &mean_short, &final_operational,
-                       &mean_probes}) {
+  for (auto* column :
+       {&daily_amplitude, &phase, &strongest_amplitude, &strongest_cycles,
+        &slope_per_round, &addresses_per_day, &mean_short, &final_operational,
+        &mean_probes, &est_p_short, &est_t_short, &est_p_long, &est_t_long,
+        &est_deviation}) {
     column->reserve(n);
   }
   block_index.reserve(n);
@@ -482,18 +455,13 @@ auto WithCheckpointWriter(const CheckpointView& view, Use&& use) {
       outage_pairs.push_back(outage.start_round);
       outage_pairs.push_back(outage.rounds);
     }
-  }
-
-  // Final estimator state: pad with defaults when the view carries fewer
-  // rows so the columns always agree with the record count.
-  EstimatorColumns estimators = view.estimators;
-  EstimatorRows padded;
-  if (estimators.rows() < n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      padded.Push(i < estimators.rows() ? estimators.Row(i)
-                                        : AvailabilityState{});
-    }
-    estimators = padded.columns();
+    const AvailabilityState& estimator = analysis.estimator;
+    est_p_short.push_back(estimator.p_short);
+    est_t_short.push_back(estimator.t_short);
+    est_p_long.push_back(estimator.p_long);
+    est_t_long.push_back(estimator.t_long);
+    est_deviation.push_back(estimator.deviation);
+    est_rounds.push_back(util::CheckedNarrow<std::int32_t>(estimator.rounds));
   }
 
   const auto add = [&writer](std::uint32_t id, const auto& column) {
@@ -523,12 +491,12 @@ auto WithCheckpointWriter(const CheckpointView& view, Use&& use) {
   add(kColDownRounds, down_rounds);
   add(kColOutageStartCount, outage_start_count);
   add(kColOutageCount, outage_count);
-  add(kColEstPShort, estimators.p_short.first(n));
-  add(kColEstTShort, estimators.t_short.first(n));
-  add(kColEstPLong, estimators.p_long.first(n));
-  add(kColEstTLong, estimators.t_long.first(n));
-  add(kColEstDeviation, estimators.deviation.first(n));
-  add(kColEstRounds, estimators.rounds.first(n));
+  add(kColEstPShort, est_p_short);
+  add(kColEstTShort, est_t_short);
+  add(kColEstPLong, est_p_long);
+  add(kColEstTLong, est_t_long);
+  add(kColEstDeviation, est_deviation);
+  add(kColEstRounds, est_rounds);
   writer.AddGathered(kColSeriesValues, sizeof(double),
                      std::move(series_values));
   add(kColOutageStarts, outage_starts);
@@ -537,15 +505,13 @@ auto WithCheckpointWriter(const CheckpointView& view, Use&& use) {
   return use(std::as_const(writer));
 }
 
-/// A view of an owned Checkpoint; `rows` holds its estimators as columns.
-CheckpointView ViewOf(const Checkpoint& checkpoint, EstimatorRows& rows) {
-  for (const auto& state : checkpoint.estimators) rows.Push(state);
+/// A view of an owned Checkpoint.
+CheckpointView ViewOf(const Checkpoint& checkpoint) {
   CheckpointView view;
   view.fingerprint = checkpoint.fingerprint;
   view.counts = checkpoint.counts;
   view.stats = checkpoint.stats;
   view.completed = checkpoint.completed;
-  view.estimators = rows.columns();
   view.quarantined = checkpoint.quarantined;
   view.next_block = checkpoint.next_block;
   return view;
@@ -554,9 +520,8 @@ CheckpointView ViewOf(const Checkpoint& checkpoint, EstimatorRows& rows) {
 }  // namespace
 
 std::vector<std::uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
-  EstimatorRows rows;
   return WithCheckpointWriter(
-      ViewOf(checkpoint, rows),
+      ViewOf(checkpoint),
       [](const storage::ColumnarWriter& writer) { return writer.Finish(); });
 }
 
@@ -642,8 +607,7 @@ CheckpointStore::Generations() {
 }
 
 storage::Error CheckpointStore::Save(const Checkpoint& checkpoint) {
-  EstimatorRows rows;
-  return Save(ViewOf(checkpoint, rows));
+  return Save(ViewOf(checkpoint));
 }
 
 storage::Error CheckpointStore::Save(const CheckpointView& checkpoint) {

@@ -10,10 +10,10 @@
 //
 // Format: SLCK v3, the storage/columnar.h container (magic "SLCK",
 // kind kCheckpointKind). A save streams the container straight into
-// storage/file.h's AtomicWrite from a CheckpointView — borrowed spans
-// over the campaign's own analyses and estimator columns — so no copy
-// of the finished series exists on the save path; EncodeCheckpoint is
-// the same bytes as one buffer. The header carries the campaign
+// storage/file.h's AtomicWrite from a CheckpointView — a borrowed span
+// over the campaign's own analyses — so no copy of the finished series
+// exists on the save path; EncodeCheckpoint is the same bytes as one
+// buffer. The header carries the campaign
 // fingerprint and the generation; the columns are
 //   META        u8 blob: format version (mixed-version refusal), diurnal
 //               counts, resilience stats, next_block
@@ -21,10 +21,10 @@
 //   INFLIGHT    u8 blob, one flag byte, always written 0
 //   TRANSPORT   u8 blob, always written empty
 //   COMPLETED   one fixed-width column per BlockAnalysis field (one row
-//               per finished block), the final estimator state per
-//               block, and three concatenated blobs (series values,
-//               outage starts, outage episodes) indexed by the per-row
-//               length columns
+//               per finished block; the six estimator columns split
+//               BlockAnalysis::estimator), and three concatenated blobs
+//               (series values, outage starts, outage episodes) indexed
+//               by the per-row length columns
 // INFLIGHT and TRANSPORT once carried a retired engine's mid-block
 // analyzer state and transport snapshot. They stay in the layout so
 // the file bytes do not change; decoding reads only the flag byte and
@@ -57,7 +57,6 @@
 #include <utility>
 #include <vector>
 
-#include "sleepwalk/core/availability.h"
 #include "sleepwalk/core/block_analyzer.h"
 #include "sleepwalk/core/pipeline.h"
 #include "sleepwalk/report/resilience.h"
@@ -74,11 +73,9 @@ struct Checkpoint {
   std::uint64_t fingerprint = 0;
   DiurnalCounts counts;
   report::ResilienceStats stats;
+  /// Completed analyses, each with its final estimator state, so a
+  /// resumed campaign continues the exact same trajectories.
   std::vector<BlockAnalysis> completed;
-  /// Final estimator state per completed block, parallel to `completed`
-  /// after a decode. Feeds the outcome's columnar BlockStore so a resumed
-  /// campaign reproduces the estimator columns exactly.
-  std::vector<AvailabilityState> estimators;
   std::vector<std::uint32_t> quarantined;  ///< prefix indices abandoned
   std::uint64_t next_block = 0;  ///< index of the first unfinished target
 
@@ -117,29 +114,13 @@ std::uint64_t CampaignFingerprint(const std::vector<BlockTarget>& targets,
                                   std::int64_t n_rounds, std::uint64_t seed,
                                   const AnalyzerConfig& config);
 
-/// The estimator columns a checkpoint persists, one row per completed
-/// block (the layout of BlockStore's estimator columns).
-struct EstimatorColumns {
-  std::span<const double> p_short, t_short, p_long, t_long, deviation;
-  std::span<const std::int32_t> rounds;
-
-  std::size_t rows() const noexcept { return rounds.size(); }
-  AvailabilityState Row(std::size_t i) const noexcept {
-    return {p_short[i], t_short[i], p_long[i],
-            t_long[i],  deviation[i], rounds[i]};
-  }
-};
-
-/// What a checkpoint save reads: the Checkpoint fields, with the large
-/// ones borrowed. `completed` and `estimators` must outlive the save.
-/// Estimator rows past `estimators.rows()` encode as AvailabilityState
-/// defaults, so the columns always agree with the record count.
+/// What a checkpoint save reads: the Checkpoint fields, with the
+/// completed analyses borrowed. `completed` must outlive the save.
 struct CheckpointView {
   std::uint64_t fingerprint = 0;
   DiurnalCounts counts;
   report::ResilienceStats stats;
   std::span<const BlockAnalysis> completed;
-  EstimatorColumns estimators;
   std::vector<std::uint32_t> quarantined;  ///< prefix indices abandoned
   std::uint64_t next_block = 0;
 };

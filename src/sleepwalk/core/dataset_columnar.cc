@@ -161,13 +161,6 @@ storage::Error WriteDatasetColumnar(storage::Env& env, const std::string& path,
       });
 }
 
-storage::Error MapDatasetColumnar(storage::Env& env, const std::string& path,
-                                  storage::MappedRegion& region,
-                                  ColumnarDatasetView& view) {
-  if (auto error = env.Map(path, region); !error.ok()) return error;
-  return ParseDatasetColumnar(region.bytes(), view, path);
-}
-
 Dataset MaterializeDataset(const ColumnarDatasetView& view) {
   Dataset dataset;
   dataset.round_seconds = view.round_seconds;

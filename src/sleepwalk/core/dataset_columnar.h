@@ -84,12 +84,6 @@ storage::Error WriteDatasetColumnar(storage::Env& env, const std::string& path,
                                     std::int64_t round_seconds = 660,
                                     std::int64_t epoch_sec = 0);
 
-/// Zero-copy open: maps the file and parses a view over the mapping.
-/// `region` owns the bytes and must outlive `view`.
-storage::Error MapDatasetColumnar(storage::Env& env, const std::string& path,
-                                  storage::MappedRegion& region,
-                                  ColumnarDatasetView& view);
-
 /// Materializes a v3 view into the Dataset struct, the form every
 /// reader re-analyzes (ReanalyzeDataset, core/pipeline.h).
 Dataset MaterializeDataset(const ColumnarDatasetView& view);

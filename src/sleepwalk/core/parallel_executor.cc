@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstddef>
-#include <deque>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -71,87 +70,6 @@ report::ProbeAccounting Subtract(const report::ProbeAccounting& after,
   delta.unreachable = after.unreachable - before.unreachable;
   return delta;
 }
-
-/// Work-stealing block queue: worker w starts with the blocks strided
-/// w, w+N, w+2N, ... (a near-even static split that keeps the
-/// coordinator's reorder window small) and, once drained, steals single
-/// blocks from the tail of the currently richest victim. Scheduling is
-/// free to be nondeterministic — block results are schedule-independent
-/// by construction, and the ordered commit stage erases any trace of
-/// who ran what.
-class WorkQueue {
- public:
-  WorkQueue(std::size_t n_workers, std::size_t first_block,
-            std::size_t n_blocks)
-      : steals_(n_workers), idle_polls_(n_workers) {
-    shards_.reserve(n_workers);
-    for (std::size_t w = 0; w < n_workers; ++w) {
-      shards_.push_back(std::make_unique<Shard>());
-    }
-    for (std::size_t i = first_block; i < n_blocks; ++i) {
-      auto& shard = *shards_[(i - first_block) % n_workers];
-      util::MutexLock lock{shard.mutex};
-      shard.blocks.push_back(i);
-    }
-  }
-
-  /// Next block for `worker`: own front, else a steal; nullopt when the
-  /// whole queue is drained.
-  std::optional<std::size_t> Pop(std::size_t worker) {
-    {
-      auto& own = *shards_[worker];
-      util::MutexLock lock{own.mutex};
-      if (!own.blocks.empty()) {
-        const std::size_t block = own.blocks.front();
-        own.blocks.pop_front();
-        return block;
-      }
-    }
-    while (true) {
-      std::size_t best = shards_.size();
-      std::size_t best_size = 0;
-      for (std::size_t victim = 0; victim < shards_.size(); ++victim) {
-        if (victim == worker) continue;
-        auto& shard = *shards_[victim];
-        util::MutexLock lock{shard.mutex};
-        if (shard.blocks.size() > best_size) {
-          best = victim;
-          best_size = shard.blocks.size();
-        }
-      }
-      if (best == shards_.size()) return std::nullopt;
-      auto& shard = *shards_[best];
-      util::MutexLock lock{shard.mutex};
-      if (shard.blocks.empty()) {
-        idle_polls_[worker].fetch_add(1, std::memory_order_relaxed);
-        continue;  // lost the race; rescan
-      }
-      const std::size_t block = shard.blocks.back();
-      shard.blocks.pop_back();
-      steals_[worker].fetch_add(1, std::memory_order_relaxed);
-      return block;
-    }
-  }
-
-  /// Live scheduling telemetry for /statusz. Steal/idle counts are
-  /// schedule-dependent, so they must never reach a deterministic sink —
-  /// the status provider's "live" section is their only consumer.
-  std::uint64_t steals(std::size_t worker) const {
-    return steals_[worker].load(std::memory_order_relaxed);
-  }
-  std::uint64_t idle_polls(std::size_t worker) const {
-    return idle_polls_[worker].load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Shard {
-    util::Mutex mutex;
-    std::deque<std::size_t> blocks SLEEPWALK_GUARDED_BY(mutex);
-  };
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::atomic<std::uint64_t>> steals_;
-  std::vector<std::atomic<std::uint64_t>> idle_polls_;
-};
 
 /// Finished blocks waiting for their turn in the ordered commit stage.
 class CompletionQueue {
@@ -323,7 +241,6 @@ BlockResult RunBlock(std::size_t index, BlockTarget& target,
     analyzer.Finish(scratch, out.commit.analysis);
   }
 
-  out.commit.estimator = analyzer.estimator().ExportState();
   out.commit.block = target.block;
   out.commit.quarantined = quarantined;
   out.commit.delta = delta;
@@ -382,7 +299,7 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
                                     std::int64_t n_rounds,
                                     const SupervisorConfig& config,
                                     const ParallelConfig& parallel) {
-  CampaignLedger ledger{targets.size(), config.analyzer.availability};
+  CampaignLedger ledger{targets.size()};
 
   const std::uint64_t fingerprint =
       CampaignFingerprint(targets, n_rounds, config.seed, config.analyzer);
@@ -516,7 +433,14 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
     shape.trace_deterministic = obs.tracer->config().deterministic;
   }
 
-  WorkQueue queue{n_workers, first_block, targets.size()};
+  // One claim counter hands out blocks in index order (ForEachChunk's
+  // rule at grain 1, but with a stop and a pool even at one worker, so
+  // the coordinator commits and checkpoints while blocks run), so the
+  // block the coordinator commits next is always already claimed.
+  // Scheduling is free to be nondeterministic — block results are
+  // schedule-independent by construction, and the ordered commit stage
+  // erases any trace of who ran what.
+  std::atomic<std::size_t> next_block{first_block};
   CompletionQueue completions;
   std::atomic<bool> stop{false};
 
@@ -535,11 +459,10 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
       auto& chain = *chains[w];
       AnalysisScratch scratch;  // reused for every block this worker runs
       while (!stop.load(std::memory_order_relaxed)) {
-        const auto index = queue.Pop(w);
-        if (!index) break;
-        completions.Push(
-            RunBlock(*index, targets[*index], chain, config, n_rounds,
-                     shape, scratch));
+        const std::size_t index = next_block.fetch_add(1);
+        if (index >= targets.size()) break;
+        completions.Push(RunBlock(index, targets[index], chain, config,
+                                  n_rounds, shape, scratch));
         blocks_run[w].fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -561,7 +484,7 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
   } join_pool{stop, pool};
 
   // Declared after the joiner so the provider detaches before any worker
-  // state it reads (queue, blocks_run, ledger) is torn down. The provider
+  // state it reads (blocks_run, ledger) is torn down. The provider
   // is a pure reader: it takes only the hub's and the ledger's locks
   // (lock order hub -> ledger) and never writes campaign state.
   StatusHub::Registration status_registration;
@@ -569,7 +492,7 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
     const std::size_t blocks_total = targets.size();
     const obs::Registry* registry = obs.metrics;
     status_registration = config.status->Attach(
-        [&ledger, &queue, &blocks_run, &checkpoint_wall_ns, wall_start,
+        [&ledger, &blocks_run, &checkpoint_wall_ns, wall_start,
          blocks_total, registry, n_workers] {
           CampaignStatus status;
           ledger.FillStatus(status);
@@ -594,8 +517,6 @@ CampaignOutcome RunParallelCampaign(std::vector<BlockTarget> targets,
             ShardRuntime shard;
             shard.worker = w;
             shard.blocks_run = blocks_run[w].load(std::memory_order_relaxed);
-            shard.steals = queue.steals(w);
-            shard.idle_polls = queue.idle_polls(w);
             status.shards.push_back(shard);
           }
           if (registry != nullptr) {

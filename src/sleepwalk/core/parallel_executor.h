@@ -1,11 +1,11 @@
-// The campaign engine: work-stealing block-sharded execution with a
-// deterministic merge. It is the only campaign engine — RunCampaign
+// The campaign engine: block-parallel execution with a deterministic
+// merge. It is the only campaign engine — RunCampaign
 // (core/pipeline.h) is this executor at one worker over a
 // PlainShardChain — so workers = 1 is a degenerate case, not a second
 // code path.
 //
-// The block universe is sharded across N worker threads. Each worker
-// owns a private transport chain (built by the caller's ShardFactory —
+// N worker threads claim blocks in index order from one shared
+// counter. Each worker owns a private transport chain (built by the caller's ShardFactory —
 // e.g. SimTransport + FaultyTransport), and each *block* gets private
 // keyed RNG streams (util/rng.h StreamSeed), a private buffered
 // logger/registry/tracer, and a private resilience-stats delta. Workers

@@ -129,10 +129,6 @@ std::string RenderStatusJson(const CampaignStatus& status) {
     AppendCount(out, shard.worker);
     out += ",\"blocks_run\":";
     AppendCount(out, shard.blocks_run);
-    out += ",\"steals\":";
-    AppendCount(out, shard.steals);
-    out += ",\"idle_polls\":";
-    AppendCount(out, shard.idle_polls);
     out += '}';
   }
   out += "]},\"quantiles\":[";

@@ -32,13 +32,12 @@
 
 namespace sleepwalk::core {
 
-/// One worker's scheduling counters (a one-worker campaign reports a
-/// single shard with zero steals).
+/// One worker's scheduling counter (a one-worker campaign reports a
+/// single shard). Workers claim blocks from one shared counter, so the
+/// blocks a worker ran is the whole of its schedule.
 struct ShardRuntime {
   std::uint64_t worker = 0;
   std::uint64_t blocks_run = 0;   ///< blocks this worker measured
-  std::uint64_t steals = 0;       ///< blocks taken from another shard
-  std::uint64_t idle_polls = 0;   ///< steal scans that found nothing
 };
 
 /// One histogram's /statusz summary: count + estimated quantiles.

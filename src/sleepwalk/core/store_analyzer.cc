@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "sleepwalk/core/block_analyzer.h"
-#include "sleepwalk/core/campaign_ledger.h"
 #include "sleepwalk/core/parallel_executor.h"
 
 namespace sleepwalk::core {
@@ -47,11 +45,28 @@ void AnalyzeRange(BlockStore& store, std::size_t begin, std::size_t end,
     BlockVerdict verdict = VerdictOf(
         analysis, (store.flags()[i] & kBlockFlagQuarantined) != 0);
     verdict.prefix_index = prefixes[i];  // Prefix24 keeps only 24 bits
-    store.RecordVerdict(i, verdict, estimator);
+    store.RecordVerdict(i, verdict);
   }
 }
 
 }  // namespace
+
+BlockVerdict VerdictOf(const BlockAnalysis& analysis, bool quarantined) {
+  BlockVerdict verdict;
+  verdict.prefix_index = analysis.block.Index();
+  verdict.probed = analysis.probed;
+  verdict.quarantined = quarantined;
+  verdict.stationary = analysis.stationarity.stationary;
+  verdict.classification =
+      static_cast<std::uint8_t>(analysis.diurnal.classification);
+  verdict.ever_active = analysis.ever_active;
+  verdict.observed_days = analysis.observed_days;
+  verdict.down_rounds = analysis.down_rounds;
+  verdict.mean_short = analysis.mean_short;
+  verdict.final_operational = analysis.final_operational;
+  verdict.mean_probes_per_round = analysis.mean_probes_per_round;
+  return verdict;
+}
 
 StoreAnalyzeStats AnalyzeStore(BlockStore& store,
                                const StoreAnalyzerConfig& config,

@@ -5,8 +5,8 @@
 // the store's series ring columns instead: this sweep copies each ring
 // in round order through AnalyzeSeries (core/block_analyzer.h), the
 // chain Finish runs, into ONE BlockAnalysis and AnalysisScratch per
-// worker, and records it through VerdictOf, the projection a live commit
-// uses. Only the accounting fields come from the store's columns.
+// worker, and records it through VerdictOf below. Only the accounting
+// fields come from the store's columns.
 //
 // So for the same recorded samples the verdict columns equal
 // BlockAnalyzer::Finish + VerdictOf by construction;
@@ -21,6 +21,7 @@
 
 #include <cstdint>
 
+#include "sleepwalk/core/block_analyzer.h"
 #include "sleepwalk/core/block_store.h"
 #include "sleepwalk/core/diurnal.h"
 #include "sleepwalk/probing/scheduler.h"
@@ -41,6 +42,11 @@ struct StoreAnalyzeStats {
   std::uint64_t classified = 0;    ///< reached the classify stage
   std::uint64_t diurnal = 0;       ///< classified != non-diurnal
 };
+
+/// Maps a finished block's analysis to its fixed-width columnar verdict
+/// (core/block_store.h): the projection the sweep records for every
+/// block, and the one the store tests build their expected rows with.
+BlockVerdict VerdictOf(const BlockAnalysis& analysis, bool quarantined);
 
 /// Full-store sweep, one contiguous range per worker thread (<= 0 =
 /// HardwareWorkers(), never more than there are blocks). Block verdicts

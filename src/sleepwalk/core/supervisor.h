@@ -29,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "sleepwalk/core/block_store.h"
 #include "sleepwalk/core/checkpoint.h"
 #include "sleepwalk/core/pipeline.h"
 #include "sleepwalk/obs/context.h"
@@ -112,9 +111,12 @@ struct SupervisorConfig {
   obs::Context obs;
 };
 
-/// A campaign's results plus its resilience accounting. `stats.probes`
-/// is the sum of the per-block ShardChain::accounting() deltas; it stays
-/// empty for chains that keep no accounting (PlainShardChain).
+/// A campaign's results plus its resilience accounting. Each finished
+/// block is one result.analyses record, final estimator state included
+/// (for resumed blocks it comes back exactly from the checkpoint).
+/// `stats.probes` is the sum of the per-block ShardChain::accounting()
+/// deltas; it stays empty for chains that keep no accounting
+/// (PlainShardChain).
 struct CampaignOutcome {
   DatasetResult result;
   report::ResilienceStats stats;
@@ -122,12 +124,6 @@ struct CampaignOutcome {
   RecoveryEvents recovery;     ///< checkpoint corruption/self-heal events
   bool resumed = false;        ///< picked up from a checkpoint
   bool stopped_early = false;  ///< hit stop_after_rounds; result partial
-  /// Columnar mirror of the outcome: row i is result.analyses[i]'s
-  /// verdict and final estimator state (core/block_store.h), sized to
-  /// the full target list (rows past analyses.size() are defaults when
-  /// the campaign stopped early). Estimator columns for resumed blocks
-  /// come back exactly from the checkpoint.
-  BlockStore store;
 };
 
 }  // namespace sleepwalk::core

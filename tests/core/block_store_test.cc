@@ -113,7 +113,8 @@ TEST(BlockStore, RecordVerdictSetsFlagsAndColumns) {
   AvailabilityState estimator;
   estimator.p_short = 0.25;
   estimator.rounds = 77;
-  store.RecordVerdict(2, verdict, estimator);
+  store.RestoreEstimator(2, estimator);
+  store.RecordVerdict(2, verdict);
 
   EXPECT_EQ(store.prefix_index()[2], 1234u);
   EXPECT_EQ(store.flags()[2],
@@ -125,6 +126,7 @@ TEST(BlockStore, RecordVerdictSetsFlagsAndColumns) {
   EXPECT_EQ(store.mean_short()[2], 0.625);
   EXPECT_EQ(store.final_operational()[2], 0.5);
   EXPECT_EQ(store.mean_probes_per_round()[2], 4.25);
+  // The verdict leaves the estimator columns as they were.
   EXPECT_EQ(store.ExportEstimator(2).p_short, 0.25);
   EXPECT_EQ(store.ExportEstimator(2).rounds, 77);
   // Neighbours untouched.

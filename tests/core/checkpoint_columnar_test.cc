@@ -1,12 +1,13 @@
 // SLCK v3 checkpoints (core/checkpoint.h): deterministic encode,
 // decode→re-encode byte identity, every single-byte corruption and
-// truncation detected, estimator columns persisted per completed block,
+// truncation detected, each completed block's estimator state persisted,
 // kill/resume byte identity through the zero-copy Env::Map load path,
 // saves larger than the columnar writer's staging buffer surviving a
 // crash or a short write at every one of their Appends, and a pinned
 // digest of one campaign's checkpoint bytes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -98,13 +99,11 @@ TEST(CheckpointColumnar, DecodeReencodeIsByteIdentical) {
   EXPECT_THROW(core::EncodeCheckpointAs(*checkpoint, 2),
                std::invalid_argument);
 
-  // The checkpoint carries per-completed-block estimator state, parallel
-  // to `completed`.
-  EXPECT_EQ(checkpoint->estimators.size(), checkpoint->completed.size());
+  // Every completed block carries its final estimator state.
   ASSERT_FALSE(checkpoint->completed.empty());
   bool any_rounds = false;
-  for (const auto& estimator : checkpoint->estimators) {
-    any_rounds = any_rounds || estimator.rounds > 0;
+  for (const auto& analysis : checkpoint->completed) {
+    any_rounds = any_rounds || analysis.estimator.rounds > 0;
   }
   EXPECT_TRUE(any_rounds) << "estimator columns decoded as defaults";
 }
@@ -166,10 +165,25 @@ TEST(CheckpointColumnar, KilledCampaignResumesByteIdentically) {
   // generation header and checkpoints_written included.
   EXPECT_EQ(FileBytes(env, kPath), clean_file);
 
-  // The columnar outcome mirror must also converge: estimator columns
-  // for blocks finished before the kill came back through the
-  // checkpoint's estimator columns, not defaults.
-  EXPECT_EQ(resumed.store.Digest(), clean.store.Digest());
+  // The in-memory estimator states converge too, bit for bit: blocks
+  // finished before the kill came back through the checkpoint's
+  // estimator columns, not defaults.
+  for (std::size_t i = 0; i < clean.result.analyses.size(); ++i) {
+    SCOPED_TRACE("block " + std::to_string(i));
+    const auto& want = clean.result.analyses[i].estimator;
+    const auto& got = resumed.result.analyses[i].estimator;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p_short),
+              std::bit_cast<std::uint64_t>(want.p_short));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t_short),
+              std::bit_cast<std::uint64_t>(want.t_short));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.p_long),
+              std::bit_cast<std::uint64_t>(want.p_long));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.t_long),
+              std::bit_cast<std::uint64_t>(want.t_long));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.deviation),
+              std::bit_cast<std::uint64_t>(want.deviation));
+    EXPECT_EQ(got.rounds, want.rounds);
+  }
 }
 
 TEST(CheckpointColumnar, LoadGoesThroughTheMapSeam) {
@@ -322,8 +336,22 @@ TEST(CheckpointColumnar, LargeCheckpointBytesArePinned) {
   EXPECT_EQ(Fnv1a(bytes), kLargeCheckpointDigest)
       << std::hex << "0x" << Fnv1a(bytes) << " over " << std::dec
       << bytes.size() << " bytes";
-  EXPECT_EQ(core::EncodeCheckpoint(*core::DecodeCheckpoint(bytes)), bytes);
+  const auto checkpoint = core::DecodeCheckpoint(bytes);
+  ASSERT_TRUE(checkpoint.has_value());
+  EXPECT_EQ(core::EncodeCheckpoint(*checkpoint), bytes);
   EXPECT_FALSE(outcome.stopped_early);
+
+  // The pin covers an unprobed block's row, whose estimator columns hold
+  // the seeded prior (initial deviation included), not zeros.
+  std::size_t unprobed = 0;
+  for (const auto& analysis : checkpoint->completed) {
+    if (analysis.probed) continue;
+    ++unprobed;
+    EXPECT_EQ(analysis.estimator.deviation,
+              core::AvailabilityConfig{}.initial_deviation);
+    EXPECT_EQ(analysis.estimator.rounds, 0);
+  }
+  EXPECT_GE(unprobed, 1u);
 }
 
 }  // namespace

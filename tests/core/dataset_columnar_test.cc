@@ -1,9 +1,9 @@
 // SLPW v3 columnar datasets (core/dataset_columnar.h): the format must
 // round-trip losslessly, re-analyze bitwise identically to the framed
 // v2 layout (read from a fixture frozen from the last v2 writer over
-// TestAnalyses(), see fixtures/make_v2_fixtures.cc), map zero-copy
-// through storage::Env, and fail closed on every forged byte,
-// truncation, wrong kind, and hostile offset table.
+// TestAnalyses(), see fixtures/make_v2_fixtures.cc), and fail closed
+// on every forged byte, truncation, wrong kind, and hostile offset
+// table.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,7 +18,6 @@
 #include "sleepwalk/core/campaign_ledger.h"
 #include "sleepwalk/core/pipeline.h"
 #include "sleepwalk/storage/columnar.h"
-#include "sleepwalk/storage/file.h"
 
 namespace sleepwalk::core {
 namespace {
@@ -254,28 +253,6 @@ TEST(DatasetColumnar, HostileOffsetTableIsRefused) {
   // META sample count disagrees with the values column outright.
   EXPECT_FALSE(
       ParseDatasetColumnar(ForgeDataset({0, 4}, {4, 6}, 12, 10), view).ok());
-}
-
-TEST(DatasetColumnar, MapsZeroCopyThroughAnEnv) {
-  storage::MemEnv env;
-  const auto analyses = TestAnalyses();
-  ASSERT_TRUE(WriteDatasetColumnar(env, "/data/a.slpw", analyses, 660, 9)
-                  .ok());
-
-  storage::MappedRegion region;
-  ColumnarDatasetView view;
-  ASSERT_TRUE(MapDatasetColumnar(env, "/data/a.slpw", region, view).ok());
-  EXPECT_EQ(view.size(), analyses.size());
-  EXPECT_EQ(view.epoch_sec, 9);
-  // The spans alias the mapping, not a per-block copy.
-  const auto* base = region.bytes().data();
-  const auto* end = base + region.bytes().size();
-  const auto* series = reinterpret_cast<const std::uint8_t*>(view.values.data());
-  EXPECT_TRUE(series >= base && series < end)
-      << "values column was copied out of the mapping";
-
-  EXPECT_FALSE(
-      MapDatasetColumnar(env, "/data/missing.slpw", region, view).ok());
 }
 
 TEST(DatasetColumnar, ParallelReanalysisIsWorkerCountInvariant) {

@@ -2,19 +2,24 @@
 // fan-out, built as its own binary so the CI `tsan` job can run exactly
 // this under -fsanitize=thread (alongside the obs concurrency stress).
 // Assertions here are sanity floors; the real oracle is the sanitizer
-// observing 8 workers stealing work, probing through fault-injecting
-// chains, and publishing results through the completion queue while the
-// coordinator merges telemetry and writes checkpoints.
+// observing 8 workers claiming blocks from one counter, probing through
+// fault-injecting chains, and publishing results through the completion
+// queue while the coordinator merges telemetry and writes checkpoints.
+// The exactly-once test is the exception: it counts every block run,
+// which no byte-identity check can see.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "sleepwalk/core/parallel_executor.h"
@@ -26,6 +31,7 @@
 #include "sleepwalk/obs/metrics.h"
 #include "sleepwalk/obs/trace.h"
 #include "sleepwalk/sim/world.h"
+#include "sleepwalk/storage/file.h"
 
 namespace sleepwalk {
 namespace {
@@ -171,6 +177,83 @@ TEST(ParallelStress, FanOutWorkersResolvesZeroToTheHardware) {
   EXPECT_EQ(core::FanOutWorkers(2, 1, 0), std::min<std::size_t>(hw, 2));
   EXPECT_EQ(core::FanOutWorkers(0, 1, 0), 1u);
   EXPECT_EQ(core::FanOutWorkers(10, 4, 8), 3u);  // ceil(10 / 4) chunks
+}
+
+// Every block is measured exactly once, fresh or resumed. The ordered
+// commit stage would drop a duplicate result without a trace, so the
+// byte-identity contracts cannot see a block handed out twice; the
+// number of AttachObs calls (one per RunBlock) can.
+TEST(ParallelStress, ResumedCampaignMeasuresEachRemainingBlockOnce) {
+  sim::WorldConfig world_config;
+  world_config.total_blocks = 24;
+  world_config.seed = 0x0dd5;
+  const auto world = sim::SimWorld::Generate(world_config);
+  std::vector<core::BlockTarget> targets;
+  for (const auto& block : world.blocks()) {
+    targets.push_back({block.spec.block, sim::EverActiveOctets(block.spec),
+                       sim::TrueAvailability(block.spec, 13 * 3600)});
+  }
+  const std::size_t n = targets.size();
+  constexpr std::int64_t kRounds = 60;
+  static constexpr char kPath[] = "/exactly_once/ck.slck";
+
+  struct CountingChain final : core::ShardChain {
+    CountingChain(const sim::SimWorld& world, std::atomic<std::size_t>& runs)
+        : inner{world.MakeTransport(5)}, runs{runs} {}
+    net::Transport& transport() override { return *inner; }
+    void AttachObs(const obs::Context&) override {
+      runs.fetch_add(1, std::memory_order_relaxed);
+    }
+    std::unique_ptr<sim::SimTransport> inner;
+    std::atomic<std::size_t>& runs;
+  };
+  // Runs the campaign on `env` and returns it with its block-run count.
+  const auto run = [&](storage::Env& env, int workers,
+                       std::int64_t stop_after_rounds) {
+    std::atomic<std::size_t> runs{0};
+    core::SupervisorConfig config;
+    config.checkpoint_path = kPath;
+    config.env = &env;
+    config.stop_after_rounds = stop_after_rounds;
+    core::ParallelConfig parallel;
+    parallel.workers = workers;
+    auto outcome = core::RunParallelCampaign(
+        targets,
+        [&world, &runs](std::size_t) {
+          return std::make_unique<CountingChain>(world, runs);
+        },
+        kRounds, config, parallel);
+    return std::pair{std::move(outcome), runs.load()};
+  };
+  const auto file_bytes = [](storage::Env& env) {
+    std::vector<std::uint8_t> bytes;
+    EXPECT_TRUE(env.ReadAll(kPath, bytes).ok());
+    return bytes;
+  };
+
+  std::vector<std::uint8_t> clean_file;
+  for (const int workers : {3, 8}) {
+    SCOPED_TRACE("fresh at " + std::to_string(workers) + " workers");
+    storage::MemEnv env;
+    const auto [outcome, runs] = run(env, workers, 0);
+    EXPECT_EQ(outcome.result.analyses.size(), n);
+    EXPECT_EQ(runs, n);
+    clean_file = file_bytes(env);
+  }
+
+  storage::MemEnv env;
+  const auto [killed, killed_runs] = run(env, 8, 5 * kRounds);
+  ASSERT_TRUE(killed.stopped_early);
+  const std::size_t committed = killed.result.analyses.size();
+  ASSERT_GT(committed, 0u);
+  ASSERT_LT(committed, n);
+  EXPECT_GE(killed_runs, committed);
+
+  const auto [resumed, resumed_runs] = run(env, 3, 0);
+  EXPECT_TRUE(resumed.resumed);
+  EXPECT_EQ(resumed.result.analyses.size(), n);
+  EXPECT_EQ(resumed_runs, n - committed);
+  EXPECT_EQ(file_bytes(env), clean_file);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include "sleepwalk/core/availability.h"
 #include "sleepwalk/core/block_analyzer.h"
 #include "sleepwalk/core/block_store.h"
-#include "sleepwalk/core/campaign_ledger.h"
 #include "sleepwalk/core/store_analyzer.h"
 #include "sleepwalk/core/store_campaign.h"
 #include "sleepwalk/probing/scheduler.h"

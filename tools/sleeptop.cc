@@ -142,10 +142,8 @@ void Render(const std::string& json, const std::string& host, int port) {
       if (open == std::string::npos || (end != std::string::npos && open > end)) {
         break;
       }
-      std::printf(" w%.0f:%s blk/%s steal",
-                  FindNumber(json, "worker", open),
-                  FormatCount(FindNumber(json, "blocks_run", open)).c_str(),
-                  FormatCount(FindNumber(json, "steals", open)).c_str());
+      std::printf(" w%.0f:%s blk", FindNumber(json, "worker", open),
+                  FormatCount(FindNumber(json, "blocks_run", open)).c_str());
       cursor = json.find('}', open);
       if (cursor == std::string::npos) break;
     }
